@@ -18,17 +18,13 @@ tier1: vet build test race fuzz-smoke
 # separate sort-then-build path), a 10-second fuzz of the dispatched
 # AVX2 force kernels against the always-compiled scalar reference
 # (agreement to 1e-12, relative to the accumulated contribution magnitude),
-# a 10-second fuzz of the MaxRungs=0 block-timestep integrator against
+# and a 10-second fuzz of the MaxRungs=0 block-timestep integrator against
 # the global-dt leapfrog (bitwise-identical trajectories over random
-# Plummer models and step counts), and a 10-second fuzz of the coarse
-# global-tree exchange pruning against the unpruned all-pairs exchange
-# (bitwise-identical accelerations over random clouds, rank counts, and
-# coarse depths).
+# Plummer models and step counts).
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzSortBuildEquivalence -fuzztime 10s ./internal/octree
 	$(GO) test -run XXX -fuzz FuzzKernelEquivalence -fuzztime 10s ./internal/grav
 	$(GO) test -run XXX -fuzz FuzzBlockEquivalence -fuzztime 10s ./internal/sim
-	$(GO) test -run XXX -fuzz FuzzPruneEquivalence -fuzztime 10s ./internal/sim
 
 vet:
 	$(GO) vet ./...
@@ -80,8 +76,8 @@ bench-compare:
 	$(MAKE) bench BENCH_JSON=bench-new.json && \
 	$(GO) run ./cmd/benchjson -compare "$$old" bench-new.json
 
-# Serial vs pipelined gravity phase; nonhidden_ms should drop and
-# overlap_% rise in the Pipelined variants.
+# SerialLET vs the default overlapped gravity schedule; nonhidden_ms should
+# drop and overlap_% rise in the Pipelined (overlapped) variants.
 bench-overlap:
 	$(GO) test -run XXX -bench 'BenchmarkOverlap' -benchtime 3x .
 
@@ -113,24 +109,24 @@ telemetry-smoke:
 	grep -q 'format ok' "$$tmp/report.txt" && \
 	echo "telemetry-smoke: OK"
 
-# End-to-end smoke test of the hierarchical LET exchange at scale: 256
-# in-process ranks, one step, with the shared coarse global octree pruning
-# the boundary exchange. Asserts that strictly fewer than p·(p−1) full
-# boundary trees moved, that a non-zero fraction of pair slots was served
-# entirely from the allgathered coarse tree, and that the tracestats
-# straggler report surfaces the pruning counters.
+# End-to-end smoke test of the all-pairs LET exchange at scale: 256
+# in-process ranks, one step. The run must complete with finite stats (the
+# JSONL writer rejects NaN/Inf, and no printed number may be one), meter a
+# positive byte count for the step, and declare no more boundary+LET bytes
+# than the message layer metered; tracestats must digest its metrics.
 scale-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/bonsai -model milkyway -n 30000 -ranks 256 -steps 1 -q \
-	  -global-tree 3 -metrics "$$tmp/metrics.jsonl" | tee "$$tmp/run.txt" && \
-	awk '/^exchange:/ { for(i=1;i<=NF;i++){ if($$i ~ /^boundary-trees=/) bt=substr($$i,16)+0; \
-	        if($$i ~ /^pair-slots=/) ps=substr($$i,12)+0; \
-	        if($$i ~ /^global-served-frac=/) f=substr($$i,20)+0 } found=1 } \
-	  END { if (!found) { print "scale-smoke: no exchange summary"; exit 1 } \
-	        printf "scale-smoke: %d boundary trees over %d pair slots, served frac %.3f\n", bt, ps, f; \
-	        exit (bt < ps && f > 0 ? 0 : 1) }' "$$tmp/run.txt" && \
-	$(GO) run ./cmd/tracestats -metrics "$$tmp/metrics.jsonl" | tee "$$tmp/report.txt" && \
-	grep -q 'exchange pruning:' "$$tmp/report.txt" && \
+	  -metrics "$$tmp/metrics.jsonl" | tee "$$tmp/run.txt" && \
+	awk '/NaN|Inf/ { bad=1 } \
+	  /^exchange:/ { for(i=1;i<=NF;i++){ if($$i ~ /^declared-bytes=/) d=substr($$i,16)+0; \
+	        if($$i ~ /^metered-bytes=/) m=substr($$i,15)+0 } found=1 } \
+	  /^done:/ { done=1 } \
+	  END { if (!found || !done) { print "scale-smoke: run incomplete"; exit 1 } \
+	        if (bad) { print "scale-smoke: non-finite stats"; exit 1 } \
+	        printf "scale-smoke: metered %d bytes, declared boundary+LET %d\n", m, d; \
+	        exit (m > 0 && d > 0 && d <= m ? 0 : 1) }' "$$tmp/run.txt" && \
+	$(GO) run ./cmd/tracestats -metrics "$$tmp/metrics.jsonl" >/dev/null && \
 	echo "scale-smoke: OK"
 
 # End-to-end smoke test of the block-timestep path: a 4-rank multi-process

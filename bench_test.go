@@ -257,30 +257,20 @@ func BenchmarkAblation_BoundaryDepth6(b *testing.B) { benchBoundaryDepth(b, 6) }
 // implementation: see BenchmarkSampling* in internal/domain.
 
 // ---------------------------------------------------------------------------
-// §III.B.3 overlap: the pipelined gravity phase (receiver goroutine +
-// LET-builder pool + interleaved walks) against the strict
-// local-walk-then-LETs baseline, plus the polled variant (no receiver
-// goroutine: the compute thread drains the mailbox between local-walk
-// chunks). nonhidden_ms is the communication time the pipeline failed to
-// hide behind compute; overlap_% is the fraction of received LETs walked
-// while the local walk was still running.
+// §III.B.3 overlap: the default overlapped gravity schedule (LET-builder
+// pool + mailbox polling between local-walk chunks + interleaved walks)
+// against the strict local-walk-then-LETs SerialLET baseline. nonhidden_ms
+// is the communication time the pipeline failed to hide behind compute;
+// overlap_% is the fraction of received LETs walked while the local walk
+// was still running.
 
-type overlapMode int
-
-const (
-	overlapSerial overlapMode = iota
-	overlapPipelined
-	overlapPolled
-)
-
-func benchOverlap(b *testing.B, ranks int, mode overlapMode) {
+func benchOverlap(b *testing.B, ranks int, serial bool) {
 	const perRank = 3000
 	parts := NewMilkyWay(perRank*ranks, 5)
 	s, err := New(Config{
 		Ranks: ranks, WorkersPerRank: 2, Theta: 0.4,
 		Softening: SofteningForN(len(parts)), GravConst: G,
-		SerialLET:    mode == overlapSerial,
-		PollReceiver: mode == overlapPolled,
+		SerialLET: serial,
 	}, parts)
 	if err != nil {
 		b.Fatal(err)
@@ -294,18 +284,15 @@ func benchOverlap(b *testing.B, ranks int, mode overlapMode) {
 	ms := func(d interface{ Seconds() float64 }) float64 { return d.Seconds() * 1e3 }
 	b.ReportMetric(ms(st.Times.NonHiddenComm), "nonhidden_ms")
 	b.ReportMetric(st.OverlapFrac*100, "overlap_%")
-	b.ReportMetric(ms(st.RecvIdle), "recvIdle_ms")
 	b.ReportMetric(ms(st.MaxTimes.Total), "total_ms")
 }
 
-func BenchmarkOverlap_Serial_R8(b *testing.B)     { benchOverlap(b, 8, overlapSerial) }
-func BenchmarkOverlap_Pipelined_R8(b *testing.B)  { benchOverlap(b, 8, overlapPipelined) }
-func BenchmarkOverlap_Polled_R8(b *testing.B)     { benchOverlap(b, 8, overlapPolled) }
-func BenchmarkOverlap_Serial_R16(b *testing.B)    { benchOverlap(b, 16, overlapSerial) }
-func BenchmarkOverlap_Pipelined_R16(b *testing.B) { benchOverlap(b, 16, overlapPipelined) }
-func BenchmarkOverlap_Serial_R32(b *testing.B)    { benchOverlap(b, 32, overlapSerial) }
-func BenchmarkOverlap_Pipelined_R32(b *testing.B) { benchOverlap(b, 32, overlapPipelined) }
-func BenchmarkOverlap_Polled_R32(b *testing.B)    { benchOverlap(b, 32, overlapPolled) }
+func BenchmarkOverlap_Serial_R8(b *testing.B)     { benchOverlap(b, 8, true) }
+func BenchmarkOverlap_Pipelined_R8(b *testing.B)  { benchOverlap(b, 8, false) }
+func BenchmarkOverlap_Serial_R16(b *testing.B)    { benchOverlap(b, 16, true) }
+func BenchmarkOverlap_Pipelined_R16(b *testing.B) { benchOverlap(b, 16, false) }
+func BenchmarkOverlap_Serial_R32(b *testing.B)    { benchOverlap(b, 32, true) }
+func BenchmarkOverlap_Pipelined_R32(b *testing.B) { benchOverlap(b, 32, false) }
 
 // ---------------------------------------------------------------------------
 // Force-kernel microbenchmarks: the batched SoA kernels against the scalar
@@ -540,16 +527,12 @@ func BenchmarkBlockSteps_Global(b *testing.B) { benchBlockSteps(b, false) }
 func BenchmarkBlockSteps_Rungs(b *testing.B)  { benchBlockSteps(b, true) }
 
 // ---------------------------------------------------------------------------
-// Exchange scaling past 64 ranks (DESIGN.md §15): the hierarchical boundary
-// exchange built on the shared coarse global octree, against the all-pairs
-// allgather baseline. Clustered ICs (well-separated blobs, one per rank) are
-// the geometry the prune targets: most rank pairs satisfy the MAC from the
-// K-level coarse prefix, so full boundary trees move only within physical
-// neighborhoods. boundary/step counts full boundary-tree sends per step
-// (p·(p−1) for the baseline), served_% the pair slots answered entirely from
-// the allgathered coarse tree, and exchBytes/step the step's total exchange
-// traffic — the quantity that must grow sublinearly in p for the protocol to
-// scale.
+// Exchange scaling past 64 ranks (DESIGN.md §15): the all-pairs boundary
+// exchange on clustered ICs (well-separated blobs, one per rank), where most
+// rank pairs are served by boundary trees alone. exchBytes/step is the
+// declared boundary+LET payload (StepStats.BytesSent) and meteredBytes/step
+// every byte the message layer counted (CommBytes), collectives included.
+// Any future pruning of the exchange has to beat meteredBytes/step here.
 
 // exchangeBlobs builds one Gaussian blob per rank on a widely spaced grid.
 func exchangeBlobs(ranks, perBlob int, seed int64) []Particle {
@@ -578,29 +561,26 @@ func exchangeBlobs(ranks, perBlob int, seed int64) []Particle {
 	return parts
 }
 
-func benchExchangeScale(b *testing.B, ranks, globalTree int) {
+func benchExchangeScale(b *testing.B, ranks int) {
 	const perRank = 500
 	parts := exchangeBlobs(ranks, perRank, 6)
 	s, err := New(Config{
 		Ranks: ranks, WorkersPerRank: 1, Theta: 0.4, Softening: 0.05,
-		SerialLET: true, GlobalTree: globalTree,
+		SerialLET: true,
 	}, parts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	s.ComputeForces() // settle domains
 	var st StepStats
+	c0 := s.CommBytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st = s.ComputeForces()
 	}
-	b.ReportMetric(float64(st.BoundarySent), "boundary/step")
-	b.ReportMetric(st.GlobalServedFrac*100, "served_%")
 	b.ReportMetric(float64(st.BytesSent), "exchBytes/step")
-	b.ReportMetric(float64(st.GlobBytes), "coarseBytes/step")
+	b.ReportMetric(float64(s.CommBytes()-c0)/float64(b.N), "meteredBytes/step")
 }
 
-func BenchmarkExchangeScale_P64(b *testing.B)           { benchExchangeScale(b, 64, 3) }
-func BenchmarkExchangeScale_P256(b *testing.B)          { benchExchangeScale(b, 256, 3) }
-func BenchmarkExchangeScale_P64_AllPairs(b *testing.B)  { benchExchangeScale(b, 64, 0) }
-func BenchmarkExchangeScale_P256_AllPairs(b *testing.B) { benchExchangeScale(b, 256, 0) }
+func BenchmarkExchangeScale_P64_AllPairs(b *testing.B)  { benchExchangeScale(b, 64) }
+func BenchmarkExchangeScale_P256_AllPairs(b *testing.B) { benchExchangeScale(b, 256) }

@@ -71,16 +71,6 @@ type Config struct {
 	// DomainFreq is the number of steps between domain re-decompositions.
 	// Default 4.
 	DomainFreq int
-	// GlobalTree enables the shared coarse global octree that prunes the
-	// boundary exchange at scale: each gravity evaluation allgathers only the
-	// top GlobalTree levels of every rank's octree, merges them into one
-	// coarse tree replicated everywhere, and serves distant rank pairs from
-	// its cells so they never exchange boundary trees. The value is the
-	// coarse depth K (clamped to BoundaryDepth); 0 (the default) keeps the
-	// all-to-all boundary exchange. Accelerations are unchanged: the coarse
-	// tree is a bit-exact prefix of the boundary tree, so pruned walks are
-	// identical to unpruned ones.
-	GlobalTree int
 
 	// BlockSteps enables hierarchical power-of-two block timesteps: each
 	// particle integrates on its own rung dt = DT/2^k (k ≤ MaxRungs) chosen
@@ -111,16 +101,11 @@ type Config struct {
 
 	// SerialLET disables all communication/compute overlap in the gravity
 	// phase: LETs are built and pushed on the compute thread before the
-	// local walk, and incoming ones are walked only after it. Kept as the
-	// measurable non-overlapped baseline for the overlap benchmarks.
+	// local walk, and incoming ones are walked only after it, in ascending
+	// peer order. The result is bitwise reproducible; it is the oracle for
+	// the default overlapped schedule and the non-overlapped baseline for
+	// the overlap benchmarks.
 	SerialLET bool
-
-	// PollReceiver replaces the dedicated receiver goroutine of the gravity
-	// pipeline with polling from the compute loop: between local-walk chunks
-	// the compute thread drains any LETs that have arrived and walks them
-	// inline. Saves one goroutine (thread) per rank at the cost of coarser
-	// arrival latency; results are identical. Default off.
-	PollReceiver bool
 
 	// Tracing enables the event-level observability layer: per-rank span
 	// timelines (exported with WriteChromeTrace), LET-arrival and walk
@@ -179,32 +164,20 @@ type StepStats struct {
 	Flops         float64
 
 	// LETsSent counts full LET pushes; BoundaryUsed counts rank pairs
-	// served by boundary trees alone; BytesSent is the step's total
-	// metered traffic.
+	// served by boundary trees alone. BytesSent sums the declared payload
+	// sizes (WireBytes) of the boundary trees and LETs the step pushed. It
+	// is not the transport meter: it leaves out the domain exchange, the
+	// collectives and wire framing, which Simulation.CommBytes counts.
 	LETsSent     int
 	BoundaryUsed int
 	BytesSent    int64
 
-	// Exchange-pruning summary (Config.GlobalTree > 0): BoundarySent counts
-	// boundary trees actually pushed (p·(p−1) per evaluation without
-	// pruning), GlobalServed the directed rank pairs served entirely from
-	// the shared coarse global tree, GlobalServedFrac their fraction of all
-	// pair-slots, and GlobBytes the coarse-contribution traffic paid for
-	// the pruning.
-	BoundarySent     int
-	GlobalServed     int
-	GlobalServedFrac float64
-	GlobBytes        int64
-
 	// Overlap efficiency of the gravity phase: LETsOverlapped of the
 	// LETsRecv received full LETs were walked while the local tree-walk
-	// was still running (OverlapFrac is their ratio); RecvIdle is the mean
-	// per-rank time the receiver goroutine spent blocked on arrivals,
-	// hidden behind the local walk.
+	// was still running (OverlapFrac is their ratio).
 	LETsRecv       int
 	LETsOverlapped int
 	OverlapFrac    float64
-	RecvIdle       time.Duration
 
 	// WalkGflops is the aggregate rate over gravity-walk time only (the
 	// "GPU kernels" series of Fig. 4); AppGflops uses the full step time.
@@ -252,7 +225,6 @@ func New(cfg Config, parts []Particle) (*Simulation, error) {
 		NGroup:         cfg.NGroup,
 		BoundaryDepth:  cfg.BoundaryDepth,
 		DomainFreq:     cfg.DomainFreq,
-		GlobalTree:     cfg.GlobalTree,
 		BlockSteps:     cfg.BlockSteps,
 		MaxRungs:       cfg.MaxRungs,
 		EtaDT:          cfg.EtaDT,
@@ -260,7 +232,6 @@ func New(cfg Config, parts []Particle) (*Simulation, error) {
 		External:       wrapExternal(cfg.External),
 		LETWorkers:     cfg.LETWorkers,
 		SerialLET:      cfg.SerialLET,
-		PollReceiver:   cfg.PollReceiver,
 		Obs:            rec,
 	}, toBody(parts))
 	if err != nil {
@@ -448,7 +419,6 @@ func NewNodeSimulation(cfg Config, w *World, rank int, parts []Particle) (*NodeS
 		NGroup:         cfg.NGroup,
 		BoundaryDepth:  cfg.BoundaryDepth,
 		DomainFreq:     cfg.DomainFreq,
-		GlobalTree:     cfg.GlobalTree,
 		BlockSteps:     cfg.BlockSteps,
 		MaxRungs:       cfg.MaxRungs,
 		EtaDT:          cfg.EtaDT,
@@ -456,7 +426,6 @@ func NewNodeSimulation(cfg Config, w *World, rank int, parts []Particle) (*NodeS
 		External:       wrapExternal(cfg.External),
 		LETWorkers:     cfg.LETWorkers,
 		SerialLET:      cfg.SerialLET,
-		PollReceiver:   cfg.PollReceiver,
 		Obs:            rec,
 	}, w.inner, rank, toBody(parts))
 	if err != nil {
@@ -664,32 +633,27 @@ func fromPhase(p sim.PhaseTimes) PhaseTimes {
 
 func fromStats(st sim.StepStats) StepStats {
 	return StepStats{
-		Step:             st.Step,
-		Ranks:            st.Ranks,
-		N:                st.N,
-		Times:            fromPhase(st.Times),
-		MaxTimes:         fromPhase(st.MaxTimes),
-		PP:               st.Grav.PP,
-		PC:               st.Grav.PC,
-		PPPerParticle:    st.PPPerParticle,
-		PCPerParticle:    st.PCPerParticle,
-		Flops:            st.Grav.Flops(),
-		LETsSent:         st.LETsSent,
-		BoundaryUsed:     st.BoundaryUsed,
-		BytesSent:        st.BytesSent,
-		BoundarySent:     st.BoundarySent,
-		GlobalServed:     st.GlobalServed,
-		GlobalServedFrac: st.GlobalServedFrac,
-		GlobBytes:        st.GlobBytes,
-		LETsRecv:         st.LETsRecv,
-		LETsOverlapped:   st.LETsOverlapped,
-		OverlapFrac:      st.OverlapFrac,
-		RecvIdle:         st.RecvIdle,
-		WalkGflops:       st.WalkGflops,
-		AppGflops:        st.AppGflops,
-		KernelISA:        st.KernelISA,
-		Substeps:         st.Substeps,
-		Rebuilds:         st.Rebuilds,
-		ActiveFrac:       st.ActiveFrac,
+		Step:           st.Step,
+		Ranks:          st.Ranks,
+		N:              st.N,
+		Times:          fromPhase(st.Times),
+		MaxTimes:       fromPhase(st.MaxTimes),
+		PP:             st.Grav.PP,
+		PC:             st.Grav.PC,
+		PPPerParticle:  st.PPPerParticle,
+		PCPerParticle:  st.PCPerParticle,
+		Flops:          st.Grav.Flops(),
+		LETsSent:       st.LETsSent,
+		BoundaryUsed:   st.BoundaryUsed,
+		BytesSent:      st.BytesSent,
+		LETsRecv:       st.LETsRecv,
+		LETsOverlapped: st.LETsOverlapped,
+		OverlapFrac:    st.OverlapFrac,
+		WalkGflops:     st.WalkGflops,
+		AppGflops:      st.AppGflops,
+		KernelISA:      st.KernelISA,
+		Substeps:       st.Substeps,
+		Rebuilds:       st.Rebuilds,
+		ActiveFrac:     st.ActiveFrac,
 	}
 }

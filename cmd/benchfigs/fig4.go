@@ -161,7 +161,6 @@ func printTable2Measured(perRank, maxRanks int) {
 	row("Particle-Particle /part", func(s bonsai.StepStats) float64 { return s.PPPerParticle })
 	row("Particle-Cell /part", func(s bonsai.StepStats) float64 { return s.PCPerParticle })
 	row("LET overlap [%]", func(s bonsai.StepStats) float64 { return s.OverlapFrac * 100 })
-	row("Receiver idle (hidden)", func(s bonsai.StepStats) float64 { return s.RecvIdle.Seconds() * 1e3 })
 	row("Walk Gflop/s (23/65)", func(s bonsai.StepStats) float64 { return s.WalkGflops })
 	row("App Gflop/s (23/65)", func(s bonsai.StepStats) float64 { return s.AppGflops })
 }

@@ -46,7 +46,6 @@ func main() {
 		blockSteps = flag.Bool("block-steps", false, "hierarchical block timesteps: per-particle dt = dt/2^k from the acceleration criterion")
 		maxRungs   = flag.Int("max-rungs", 4, "block timesteps: maximum hierarchy depth (dt/2^max-rungs is the finest step)")
 		etaDT      = flag.Float64("eta-dt", 0.1, "block timesteps: accuracy parameter of dt_i = eta*sqrt(eps/|a_i|)")
-		globalTree = flag.Int("global-tree", 0, "shared coarse global octree depth K: prune the boundary exchange by serving distant rank pairs from an allgathered K-level tree (0 = off)")
 		serialLET  = flag.Bool("serial-let", false, "disable communication/compute overlap in the gravity phase (deterministic baseline)")
 		steps      = flag.Int("steps", 64, "number of leapfrog steps")
 		snapEvery  = flag.Int("snap-every", 0, "snapshot interval in steps (0 = none)")
@@ -99,7 +98,7 @@ func main() {
 				model: *model, n: *n, seed: *seed, restore: *restore,
 				workers: *workers, theta: *theta, eps: *eps, dt: *dt,
 				blockSteps: *blockSteps, maxRungs: *maxRungs, etaDT: *etaDT,
-				globalTree: *globalTree, serialLET: *serialLET,
+				serialLET: *serialLET,
 			})
 		} else {
 			runLauncher(lc)
@@ -159,7 +158,6 @@ func main() {
 		Theta:          *theta,
 		Softening:      *eps,
 		DT:             *dt,
-		GlobalTree:     *globalTree,
 		BlockSteps:     *blockSteps,
 		MaxRungs:       *maxRungs,
 		EtaDT:          *etaDT,
@@ -192,23 +190,19 @@ func main() {
 	fmt.Printf("N=%d ranks=%d workers/rank=%d theta=%.2f eps=%.4f kpc dt=%.3e (%.2f Myr)\n",
 		len(parts), *ranks, *workers, *theta, *eps, *dt, bonsai.Gyr(*dt)*1e3)
 
-	var exchBoundary, exchServed int
-	var exchGlobBytes int64
+	var exchLETs, exchBoundary int
+	var exchDeclared int64
 	for i := 0; i < *steps; i++ {
 		st := s.Step()
-		exchBoundary += st.BoundarySent
-		exchServed += st.GlobalServed
-		exchGlobBytes += st.GlobBytes
+		exchLETs += st.LETsSent
+		exchBoundary += st.BoundaryUsed
+		exchDeclared += st.BytesSent
 		if !*quiet {
 			k, p := s.Energy()
 			block := ""
 			if st.Substeps > 0 {
 				block = fmt.Sprintf("  sub %d/%d reb, active %3.0f%%",
 					st.Substeps, st.Rebuilds, st.ActiveFrac*100)
-			}
-			if slots := st.BoundarySent + st.GlobalServed; slots > 0 {
-				block += fmt.Sprintf("  exch %d/%d global %2.0f%%",
-					st.BoundarySent, slots, st.GlobalServedFrac*100)
 			}
 			fmt.Printf("step %4d  t=%7.2f Myr  E=%12.5e  step=%6.0f ms  [sort+build %3.0f dom %3.0f props %3.0f grav %4.0f+%4.0f comm %3.0f]  pp/pc %.0f/%.0f  %5.2f Gflop/s%s\n",
 				startStep+s.StepCount(), (startTime+bonsai.Gyr(s.Time()))*1e3, k+p,
@@ -244,11 +238,11 @@ func main() {
 	}
 
 	// One machine-readable exchange summary for the run (make scale-smoke
-	// asserts on these key=value tokens).
-	if slots := exchBoundary + exchServed; slots > 0 {
-		fmt.Printf("exchange: boundary-trees=%d pair-slots=%d global-served-frac=%.3f coarse-bytes=%d\n",
-			exchBoundary, slots, float64(exchServed)/float64(slots), exchGlobBytes)
-	}
+	// asserts on these key=value tokens): full LETs pushed, rank pairs
+	// served by a boundary tree alone, the declared boundary+LET payload
+	// bytes, and the bytes the message layer counted for every send.
+	fmt.Printf("exchange: lets=%d boundary-used=%d declared-bytes=%d metered-bytes=%d\n",
+		exchLETs, exchBoundary, exchDeclared, s.CommBytes())
 
 	k, p := s.Energy()
 	fmt.Printf("done: t=%.4f Gyr, E=%.5e K=%.4e W=%.4e, comm=%.1f MB\n",

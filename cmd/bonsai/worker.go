@@ -28,7 +28,6 @@ type workerSimConfig struct {
 	blockSteps bool
 	maxRungs   int
 	etaDT      float64
-	globalTree int
 	serialLET  bool
 }
 
@@ -86,7 +85,6 @@ func runWorker(lc launchConfig, rank int, wc workerSimConfig) {
 		Theta:          wc.theta,
 		Softening:      wc.eps,
 		DT:             wc.dt,
-		GlobalTree:     wc.globalTree,
 		BlockSteps:     wc.blockSteps,
 		MaxRungs:       wc.maxRungs,
 		EtaDT:          wc.etaDT,

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"bonsai/internal/body"
-	"bonsai/internal/globtree"
 	"bonsai/internal/keys"
 	"bonsai/internal/lettree"
 	"bonsai/internal/vec"
@@ -49,7 +48,6 @@ const (
 	kLET
 	kLETs
 	kByteSlices
-	kGlobContrib
 )
 
 // nilLETLen marks a nil *lettree.LET inside a kLETs sequence.
@@ -147,8 +145,6 @@ func encodePayload(data any) (uint16, []byte, error) {
 		return kByteSlices, b, nil
 	case *lettree.LET:
 		return kLET, v.Marshal(), nil
-	case *globtree.Contribution:
-		return kGlobContrib, v.Marshal(), nil
 	case []*lettree.LET:
 		var b []byte
 		b = appendU32(b, uint32(len(v)))
@@ -178,6 +174,19 @@ func getU32(b []byte, off *int) uint32 {
 	v := binary.LittleEndian.Uint32(b[*off:])
 	*off += 4
 	return v
+}
+
+// getCount reads the u32 element count of a length-prefixed sequence and
+// bounds it by the bytes left: every element carries at least a 4-byte
+// length prefix, so a count above (len(b)-off)/4 is corrupt. Checking before
+// the caller sizes its slice keeps a forged count from forcing a huge
+// allocation.
+func getCount(b []byte, off *int, what string) (int, error) {
+	n := int(getU32(b, off))
+	if n > (len(b)-*off)/4 {
+		return 0, fmt.Errorf("mpi: %s count %d exceeds the %d bytes left", what, n, len(b)-*off)
+	}
+	return n, nil
 }
 
 func getU64(b []byte, off *int) uint64 {
@@ -286,7 +295,10 @@ func decodePayload(kind uint16, b []byte) (any, error) {
 		if len(b) < 4 {
 			return nil, fmt.Errorf("mpi: short [][]key payload")
 		}
-		n := int(getU32(b, &off))
+		n, err := getCount(b, &off, "[][]key")
+		if err != nil {
+			return nil, err
+		}
 		out := make([][]keys.Key, n)
 		for i := range out {
 			if len(b)-off < 4 {
@@ -336,7 +348,10 @@ func decodePayload(kind uint16, b []byte) (any, error) {
 		if len(b) < 4 {
 			return nil, fmt.Errorf("mpi: short [][]byte payload")
 		}
-		n := int(getU32(b, &off))
+		n, err := getCount(b, &off, "[][]byte")
+		if err != nil {
+			return nil, err
+		}
 		out := make([][]byte, n)
 		for i := range out {
 			if len(b)-off < 4 {
@@ -352,14 +367,15 @@ func decodePayload(kind uint16, b []byte) (any, error) {
 		return out, nil
 	case kLET:
 		return lettree.Unmarshal(b)
-	case kGlobContrib:
-		return globtree.Unmarshal(b)
 	case kLETs:
 		off := 0
 		if len(b) < 4 {
 			return nil, fmt.Errorf("mpi: short []LET payload")
 		}
-		n := int(getU32(b, &off))
+		n, err := getCount(b, &off, "[]LET")
+		if err != nil {
+			return nil, err
+		}
 		out := make([]*lettree.LET, n)
 		for i := range out {
 			if len(b)-off < 4 {

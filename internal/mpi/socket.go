@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -43,6 +44,13 @@ import (
 const sockMagic = 0x424d5031 // "BMP1"
 
 const frameOverhead = 4 + 8 + 2
+
+// maxFrameBytes caps a frame's length field (256 MiB, several million
+// particles in one domain-exchange message). The reader allocates the frame
+// body from that field, so a corrupt or forged length is rejected before the
+// allocation instead of attempting up to 4 GiB; Send refuses to emit a frame
+// the reader would reject.
+const maxFrameBytes = 1 << 28
 
 // SocketConfig describes a socket-transport world.
 type SocketConfig struct {
@@ -167,6 +175,10 @@ func (st *sockTransport) Send(from, to, tag int, data any) int {
 	kind, payload, err := encodePayload(data)
 	if err != nil {
 		panic(err)
+	}
+	if 8+2+len(payload) > maxFrameBytes {
+		panic(fmt.Sprintf("mpi: %d-byte payload from rank %d to %d exceeds the %d-byte frame cap",
+			len(payload), from, to, maxFrameBytes))
 	}
 	frame := make([]byte, 0, frameOverhead+len(payload))
 	frame = appendU32(frame, uint32(8+2+len(payload)))
@@ -318,18 +330,13 @@ func (st *sockTransport) serveConn(conn net.Conn) {
 	if from < 0 || from >= st.w.size || !st.w.Local(to) {
 		panic(fmt.Sprintf("mpi: connection preamble names ranks %d -> %d, not served here", from, to))
 	}
-	var hdr [4]byte
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return // EOF on frame boundary: peer closed
+		body, err := readFrame(conn)
+		if errors.Is(err, errFrameLength) {
+			panic(fmt.Sprintf("mpi: frame from rank %d: %v", from, err))
 		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		if n < frameOverhead-4 {
-			panic(fmt.Sprintf("mpi: frame of %d bytes from rank %d", n, from))
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(conn, body); err != nil {
-			return
+		if err != nil {
+			return // EOF on frame boundary (peer closed) or a killed peer
 		}
 		tag := int64(binary.LittleEndian.Uint64(body[0:]))
 		kind := binary.LittleEndian.Uint16(body[8:])
@@ -339,6 +346,30 @@ func (st *sockTransport) serveConn(conn net.Conn) {
 		}
 		st.w.deliver(to, from, int(tag), data)
 	}
+}
+
+// errFrameLength marks a frame whose length field is outside
+// [frameOverhead-4, maxFrameBytes]: stream corruption, not a closed peer.
+var errFrameLength = errors.New("frame length out of range")
+
+// readFrame reads one frame and returns its body (tag, kind and payload).
+// The length field is checked against maxFrameBytes before the body is
+// allocated; I/O errors are returned as they come (io.EOF on a frame
+// boundary when the peer closed).
+func readFrame(r io.Reader) ([]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[:])
+	if n < frameOverhead-4 || n > maxFrameBytes {
+		return nil, fmt.Errorf("%w: %d bytes, want [%d, %d]", errFrameLength, n, frameOverhead-4, maxFrameBytes)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, err
+	}
+	return body, nil
 }
 
 // Close flushes every link's queued frames, closes connections and

@@ -12,8 +12,8 @@
 // every recording method is nil-receiver safe, so callers hold a possibly-nil
 // *RankRec / *Hist and call unconditionally. Enabled recording appends into a
 // preallocated per-rank span buffer through an atomic cursor — no locks, no
-// allocations, safe for the concurrent receiver/builder/compute goroutines of
-// one rank. Overflowing spans are counted and dropped, never reallocated.
+// allocations, safe for the concurrent builder/compute goroutines of one
+// rank. Overflowing spans are counted and dropped, never reallocated.
 package obs
 
 import (
@@ -37,7 +37,6 @@ const (
 	PhaseWalkLET                // walk of one received full LET (arg = source rank)
 	PhaseWalkBound              // walk of a remote boundary tree (arg = source rank)
 	PhaseLETBuild               // build + push of one outgoing LET (arg = destination rank)
-	PhaseRecvWait               // receiver goroutine blocked on an arrival (arg = source rank)
 	PhaseWaitLET                // compute thread blocked on straggler LETs / builder join
 	PhaseIntegrate              // leapfrog kick/drift
 	PhaseArrive                 // instant: a full LET arrived (arg = source rank)
@@ -49,9 +48,8 @@ const (
 
 var phaseNames = [numPhase]string{
 	"sort", "domain", "tree-build", "tree-props", "boundary-allgather",
-	"walk:local", "walk:let", "walk:boundary", "let:build", "recv:wait",
-	"wait:let", "integrate", "let:arrive", "walk:done", "sort+build",
-	"substep",
+	"walk:local", "walk:let", "walk:boundary", "let:build", "wait:let",
+	"integrate", "let:arrive", "walk:done", "sort+build", "substep",
 }
 
 func (p Phase) String() string {
@@ -75,25 +73,20 @@ func PhaseByName(name string) (Phase, bool) {
 func (p Phase) Instant() bool { return p == PhaseArrive || p == PhaseWalkDone }
 
 // Lane is the thread role a span executed on, one trace lane per role within
-// a rank's track: the paper's compute / communication(receive) / LET-builder
-// thread groups.
+// a rank's track: the paper's compute and LET-builder thread groups (the
+// compute thread also receives, polling the mailbox between walk chunks).
 type Lane uint8
 
 const (
 	LaneCompute Lane = iota
-	LaneReceiver
 	LaneBuilder
 )
 
 func (l Lane) String() string {
-	switch l {
-	case LaneCompute:
+	if l == LaneCompute {
 		return "compute"
-	case LaneReceiver:
-		return "receiver"
-	default:
-		return "builder"
 	}
+	return "builder"
 }
 
 // Span is one recorded event: a closed [Start, End] interval (nanoseconds

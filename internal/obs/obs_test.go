@@ -38,7 +38,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	var rr *RankRec
 	now := time.Now()
 	rr.Span(0, PhaseSort, LaneCompute, 0, now, now, 0)
-	rr.Mark(0, PhaseArrive, LaneReceiver, now, 0)
+	rr.Mark(0, PhaseArrive, LaneCompute, now, 0)
 	if rr.Spans() != nil || rr.Dropped() != 0 || rr.Since(now) != 0 {
 		t.Error("nil RankRec must record nothing")
 	}
@@ -67,15 +67,15 @@ func TestRecorderConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for rank := 0; rank < ranks; rank++ {
 		rr := r.Rank(rank)
-		for _, lane := range []Lane{LaneCompute, LaneReceiver, LaneBuilder} {
+		for w, lane := range []Lane{LaneCompute, LaneBuilder, LaneBuilder} {
 			wg.Add(1)
-			go func(lane Lane) {
+			go func(lane Lane, w int) {
 				defer wg.Done()
 				for i := 0; i < perLane; i++ {
 					t0 := time.Now()
-					rr.Span(i, PhaseWalkLocal, lane, 1, t0, t0.Add(time.Microsecond), int64(i))
+					rr.Span(i, PhaseWalkLocal, lane, w, t0, t0.Add(time.Microsecond), int64(i))
 				}
-			}(lane)
+			}(lane, w)
 		}
 	}
 	wg.Wait()
@@ -155,7 +155,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	r := New(2, 64)
 	base := time.Now()
 	r.Rank(0).Span(0, PhaseWalkLocal, LaneCompute, 0, base, base.Add(100*time.Microsecond), 4)
-	r.Rank(0).Mark(0, PhaseArrive, LaneReceiver, base.Add(40*time.Microsecond), 1)
+	r.Rank(0).Mark(0, PhaseArrive, LaneCompute, base.Add(40*time.Microsecond), 1)
 	r.Rank(1).Span(0, PhaseLETBuild, LaneBuilder, 3, base, base.Add(10*time.Microsecond), 0)
 
 	var buf bytes.Buffer
@@ -184,8 +184,8 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 			}
 		case ev.Ph == "X" && ev.Name == PhaseLETBuild.String():
 			builders++
-			if ev.TID != 2+3 {
-				t.Errorf("builder worker 3 mapped to tid %d, want 5", ev.TID)
+			if ev.TID != 1+3 {
+				t.Errorf("builder worker 3 mapped to tid %d, want 4", ev.TID)
 			}
 		}
 	}

@@ -353,37 +353,40 @@ func (r *rank) recordBlockEval(boundary int, rebuilt bool, activeN, totalN int) 
 	r.stepTotal += float64(totalN)
 }
 
+// blockPrime runs the priming evaluation at the current barrier, in lockstep
+// with every other rank: accelerations for the first opening kicks, from
+// which fresh starts assign initial rungs (restored runs keep the snapshot's
+// rungs). It records one evaluation in blockEvals.
+func (r *rank) blockPrime(step, eval int) {
+	r.blockEvals = r.blockEvals[:0]
+	// Domain update only at top of a domain-epoch step — mirroring the
+	// global path's schedule.
+	domain := r.sub == 0 && step%r.cfg.DomainFreq == 0
+	if r.restored {
+		r.reduceRungPop() // snapshot rungs drive the priming active set
+	}
+	rebuilt, activeN, totalN := r.blockForces(step, eval, domain, true, r.sub)
+	if !r.restored && r.cfg.MaxRungs > 0 {
+		r.assignRungs()
+	}
+	r.restored = false
+	r.primedStep = true // suppress this step's own domain epoch (already paid)
+	if r.cfg.MaxRungs > 0 {
+		r.reduceRungPop()
+	}
+	r.recordBlockEval(r.sub, rebuilt, activeN, totalN)
+}
+
 // blockAdvance advances this rank through substeps in lockstep with every
 // other rank: up to maxB occupied barriers when maxB > 0, the rest of the
-// top-level step otherwise. first runs the priming evaluation at the current
-// barrier before the first advance (fresh starts then assign initial rungs
-// from the primed accelerations; restored runs keep the snapshot's rungs).
-// Returns true when the top-of-step barrier was crossed, leaving sub == 0.
-func (r *rank) blockAdvance(step, evalBase int, first bool, maxB int) bool {
+// top-level step otherwise. The priming evaluation (blockPrime) must have
+// run. Returns true when the top-of-step barrier was crossed, leaving
+// sub == 0.
+func (r *rank) blockAdvance(step, evalBase int, maxB int) bool {
 	S := 1 << r.cfg.MaxRungs
 	h := r.cfg.DT / float64(S)
 	eval := evalBase
 	r.blockEvals = r.blockEvals[:0]
-
-	if first {
-		// Prime accelerations at the current barrier. Domain update only at
-		// top of a domain-epoch step — mirroring the global path's schedule.
-		domain := r.sub == 0 && step%r.cfg.DomainFreq == 0
-		if r.restored {
-			r.reduceRungPop() // snapshot rungs drive the priming active set
-		}
-		rebuilt, activeN, totalN := r.blockForces(step, eval, domain, true, r.sub)
-		if !r.restored && r.cfg.MaxRungs > 0 {
-			r.assignRungs()
-		}
-		r.restored = false
-		r.primedStep = true // suppress this step's own domain epoch (already paid)
-		if r.cfg.MaxRungs > 0 {
-			r.reduceRungPop()
-		}
-		r.recordBlockEval(r.sub, rebuilt, activeN, totalN)
-		eval++
-	}
 
 	for b := 0; maxB <= 0 || b < maxB; b++ {
 		s := r.sub
@@ -478,11 +481,7 @@ func (a *RankStats) add(b RankStats) {
 	a.LETsRecv += b.LETsRecv
 	a.BoundaryUsed += b.BoundaryUsed
 	a.LETBytesSent += b.LETBytesSent
-	a.BoundarySent += b.BoundarySent
-	a.GlobalServed += b.GlobalServed
-	a.GlobBytes += b.GlobBytes
 	a.LETsOverlapped += b.LETsOverlapped
-	a.RecvIdle += b.RecvIdle
 	if b.ArrivalsSeen > 0 && (a.ArrivalsSeen == 0 || b.WorstArrival > a.WorstArrival) {
 		a.WorstArrival = b.WorstArrival
 	}
@@ -507,29 +506,33 @@ func (s *Simulation) stepBlock() StepStats {
 }
 
 // advanceBlock runs up to maxB substep advances on every rank (the rest of
-// the step when maxB <= 0) and records their evaluations. Returns true when
-// the top-of-step barrier was crossed.
+// the step when maxB <= 0), after the priming evaluation if it is still
+// due, and records their evaluations. Returns true when the top-of-step
+// barrier was crossed.
 func (s *Simulation) advanceBlock(maxB int) bool {
-	first := s.first
-	s.first = false
-	evalBase := s.evals
-	step := s.step
-	s.parallel(func(r *rank) { r.blockAdvance(step, evalBase, first, maxB) })
+	s.prime()
+	evalBase, step := s.evals, s.step
+	s.parallel(func(r *rank) { r.blockAdvance(step, evalBase, maxB) })
+	s.recordBlockEvals()
+	evs := s.ranks[0].blockEvals
+	return len(evs) > 0 && evs[len(evs)-1].boundary == 1<<s.cfg.MaxRungs
+}
 
+// recordBlockEvals folds the evaluations every rank just recorded in
+// blockEvals into the metrics stream, advances the evaluation counter, and
+// returns the per-rank stats of the last one.
+func (s *Simulation) recordBlockEvals() []RankStats {
+	var rs []RankStats
 	evs := len(s.ranks[0].blockEvals)
 	for e := 0; e < evs; e++ {
-		rs := make([]RankStats, len(s.ranks))
+		rs = make([]RankStats, len(s.ranks))
 		for i, r := range s.ranks {
 			rs[i] = r.blockEvals[e].stats
 		}
-		s.recordStepMetrics(evalBase+e, rs, &s.ranks[0].blockEvals[e])
+		s.recordStepMetrics(s.evals+e, rs, &s.ranks[0].blockEvals[e])
 	}
 	s.evals += evs
-	if evs == 0 {
-		return false
-	}
-	S := 1 << s.cfg.MaxRungs
-	return s.ranks[0].blockEvals[evs-1].boundary == S
+	return rs
 }
 
 // finishBlockStep aggregates the step's accumulated substep stats, advances
@@ -577,8 +580,9 @@ func (s *Simulation) SubstepN(n int) (bool, error) {
 // RestoreSubstep resumes a block-timestep run from a snapshot taken at a
 // substep barrier: sub is the barrier index (0 ≤ sub < 2^MaxRungs), and the
 // particles' snapshot rungs are kept (clamped to MaxRungs) instead of being
-// re-assigned by the priming evaluation. Call before the first Step or
-// SubstepN, together with SetClock for the step/time counters.
+// re-assigned by the priming evaluation. Call before the first Step,
+// SubstepN, ComputeForces or Energy, together with SetClock for the
+// step/time counters.
 func (s *Simulation) RestoreSubstep(sub int) error {
 	if !s.cfg.BlockSteps {
 		return fmt.Errorf("sim: RestoreSubstep requires Config.BlockSteps")
@@ -609,14 +613,10 @@ func (s *Simulation) SetClock(step int, time float64) {
 // Simulation.stepBlock, driven from this rank alone (the collectives inside
 // keep the world in lockstep). Returns the step-summed stats of this rank.
 func (n *Node) stepBlock() RankStats {
-	first := n.first
-	n.first = false
+	n.prime()
 	r := n.r
-	r.blockAdvance(n.step, n.evals, first, 0)
-	for e := range r.blockEvals {
-		n.recordStepMetrics(n.evals+e, r.blockEvals[e].stats, &r.blockEvals[e])
-	}
-	n.evals += len(r.blockEvals)
+	r.blockAdvance(n.step, n.evals, 0)
+	n.recordBlockEvals()
 	out := r.stepAccum
 	n.lastSub, n.lastReb = r.stepSub, r.stepReb
 	n.lastActiveFrac = 0
@@ -627,6 +627,16 @@ func (n *Node) stepBlock() RankStats {
 	n.step++
 	n.time += n.cfg.DT
 	return out
+}
+
+// recordBlockEvals folds the evaluations this rank just recorded in
+// blockEvals into the metrics stream and advances the evaluation counter.
+func (n *Node) recordBlockEvals() {
+	r := n.r
+	for e := range r.blockEvals {
+		n.recordStepMetrics(n.evals+e, r.blockEvals[e].stats, &r.blockEvals[e])
+	}
+	n.evals += len(r.blockEvals)
 }
 
 // Substep returns the current substep barrier (0 at top of step).

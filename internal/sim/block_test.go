@@ -349,3 +349,44 @@ func TestConfigValidateRejectsGarbage(t *testing.T) {
 		t.Errorf("zero config rejected: %v", err)
 	}
 }
+
+// TestComputeForcesThenBlockStep: ComputeForces on a fresh block-timestep
+// run is the priming evaluation, so the steps after it follow bitwise the
+// trajectory of a run that only steps. A ComputeForces between steps (a full
+// rebuild with a domain exchange) must leave the tree-reuse state consistent
+// for the next substeps.
+func TestComputeForcesThenBlockStep(t *testing.T) {
+	parts := concentrated(800, 68)
+	cfg := Config{
+		Ranks: 4, Theta: 0.5, Eps: 0.01, DT: 4e-3, DomainFreq: 1,
+		SerialLET: true, BlockSteps: true, MaxRungs: 3,
+	}
+	mk := func() *Simulation {
+		s, err := New(cfg, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	ref := mk()
+	ref.Run(2)
+
+	got := mk()
+	if st := got.ComputeForces(); st.N != len(parts) {
+		t.Fatalf("priming ComputeForces saw %d particles, want %d", st.N, len(parts))
+	}
+	got.Run(2)
+	exactlyEqual(t, got.Particles(), ref.Particles(), "ComputeForces then 2 steps")
+
+	got.ComputeForces()
+	for i := 0; i < 2; i++ {
+		if st := got.Step(); st.Substeps < 1 {
+			t.Fatalf("step after mid-run ComputeForces ran %d substeps", st.Substeps)
+		}
+	}
+	for _, p := range got.Particles() {
+		if !p.Pos.IsFinite() || !p.Vel.IsFinite() {
+			t.Fatalf("particle %d non-finite after mid-run ComputeForces: %+v", p.ID, p)
+		}
+	}
+}

@@ -32,7 +32,10 @@ type Node struct {
 	step  int
 	evals int
 	time  float64
-	first bool
+	first bool // the t=0 priming evaluation is still due
+	// primed: the priming evaluation ran this step's domain epoch, so the
+	// step's post-drift evaluation skips it (global-dt path only).
+	primed bool
 
 	// Block-timestep summary of the last completed step (see BlockSummary).
 	lastSub, lastReb int
@@ -163,9 +166,6 @@ func (n *Node) recordStepMetrics(eval int, rs RankStats, be *blockEval) {
 		NonHiddenCommMS: ms(t.NonHiddenComm),
 		LETsRecv:        rs.LETsRecv,
 		LETsOverlapped:  rs.LETsOverlapped,
-		BoundarySent:    rs.BoundarySent,
-		GlobalServed:    rs.GlobalServed,
-		GlobBytes:       rs.GlobBytes,
 		ArrivalsSeen:    rs.ArrivalsSeen,
 		WalkGflops:      rs.WalkGflops(),
 		AppGflops:       finiteRate(rs.Grav.Gflops(t.Total)),
@@ -179,9 +179,6 @@ func (n *Node) recordStepMetrics(eval int, rs RankStats, be *blockEval) {
 	}
 	if rs.LETsRecv > 0 {
 		m.OverlapFrac = float64(rs.LETsOverlapped) / float64(rs.LETsRecv)
-	}
-	if slots := rs.GlobalServed + rs.BoundarySent; slots > 0 {
-		m.GlobalServedFrac = float64(rs.GlobalServed) / float64(slots)
 	}
 	if rs.ArrivalsSeen > 0 {
 		m.WorstArrivalMS = float64(rs.WorstArrival) / 1e6
@@ -207,12 +204,7 @@ func (n *Node) Step() RankStats {
 	if n.cfg.BlockSteps {
 		return n.stepBlock()
 	}
-	primed := false
-	if n.first {
-		n.forces(n.domainDue())
-		n.first = false
-		primed = true
-	}
+	n.prime()
 	dt := n.cfg.DT
 	r := n.r
 	t0 := time.Now()
@@ -221,7 +213,8 @@ func (n *Node) Step() RankStats {
 		r.parts[i].Pos = r.parts[i].Pos.Add(r.parts[i].Vel.Scale(dt))
 	}
 	r.obs.Span(n.evals, obs.PhaseIntegrate, obs.LaneCompute, 0, t0, time.Now(), 0)
-	rs := n.forces(n.domainDue() && !primed)
+	rs := n.forces(n.domainDue() && !n.primed)
+	n.primed = false
 	t0 = time.Now()
 	for i := range r.parts {
 		r.parts[i].Vel = r.parts[i].Vel.Add(r.acc[i].Scale(dt / 2))
@@ -232,10 +225,28 @@ func (n *Node) Step() RankStats {
 	return rs
 }
 
+// prime runs the t=0 priming force evaluation if it is still due — the
+// Node counterpart of Simulation.prime (collective).
+func (n *Node) prime() {
+	if !n.first {
+		return
+	}
+	n.first = false
+	if n.cfg.BlockSteps {
+		n.r.blockPrime(n.step, n.evals)
+		n.recordBlockEvals()
+		return
+	}
+	n.primed = true
+	n.forces(n.domainDue())
+}
+
 // Energy returns the total kinetic and potential energy across all ranks
-// (collective: every rank must call it at the same point). Pairwise
-// self-gravity potential is halved as in Simulation.Energy.
+// (collective: every rank must call it at the same point). Before the first
+// step it runs the priming evaluation, so it reports the initial state.
+// Pairwise self-gravity potential is halved as in Simulation.Energy.
 func (n *Node) Energy() (kin, pot float64) {
+	n.prime()
 	r := n.r
 	ext := len(r.extPot) == len(r.parts) && len(r.extPot) > 0
 	for i := range r.parts {

@@ -246,3 +246,48 @@ func TestNodeCheckpointRestartMatchesContinuous(t *testing.T) {
 		t.Errorf("rms position difference continuous vs restarted = %g, want < 1e-12", rms)
 	}
 }
+
+// TestNodeEnergyBeforeFirstStep: Node.Energy before any step runs the
+// (collective) priming evaluation instead of indexing potentials that do not
+// exist yet, and the steps after it follow bitwise the trajectory of nodes
+// that only step.
+func TestNodeEnergyBeforeFirstStep(t *testing.T) {
+	const ranks = 3
+	parts := plummer(600, 73)
+	cfg := Config{Ranks: ranks, Theta: 0.5, Eps: 0.05, DT: 1e-3, DomainFreq: 2, SerialLET: true}
+	run := func(energyFirst bool) ([]body.Particle, float64) {
+		w := mpi.NewWorld(ranks)
+		nodes := make([]*Node, ranks)
+		for r := range nodes {
+			n, err := NewNode(cfg, w, r, SliceForRank(parts, r, ranks))
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes[r] = n
+		}
+		var e0 float64
+		var wg sync.WaitGroup
+		for r, n := range nodes {
+			wg.Add(1)
+			go func(r int, n *Node) {
+				defer wg.Done()
+				if energyFirst {
+					if k, p := n.Energy(); r == 0 {
+						e0 = k + p
+					}
+				}
+				for i := 0; i < 3; i++ {
+					n.Step()
+				}
+			}(r, n)
+		}
+		wg.Wait()
+		return gatherAll(nodes), e0
+	}
+	ref, _ := run(false)
+	got, e0 := run(true)
+	if math.IsNaN(e0) || math.IsInf(e0, 0) || e0 >= 0 {
+		t.Errorf("initial energy %v, want a finite bound-system value", e0)
+	}
+	exactlyEqual(t, got, ref, "Node Energy then 3 steps")
+}

@@ -67,13 +67,13 @@ func TestOverlapCountersConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2 := s2.ComputeForces()
-	if st2.LETsOverlapped != 0 || st2.OverlapFrac != 0 || st2.RecvIdle != 0 {
+	if st2.LETsOverlapped != 0 || st2.OverlapFrac != 0 {
 		t.Errorf("serial baseline reported overlap: %+v", st2)
 	}
 }
 
 // TestOverlapPipelineStress drives the full pipeline — parallel walks,
-// builder pool, receiver goroutine, interleaved LET walks — across several
+// builder pool, mailbox polling, interleaved LET walks — across several
 // steps at 8 ranks with multiple workers. Run under -race this is the
 // regression net for the concurrency structure; accuracy is pinned against
 // direct summation.

@@ -83,43 +83,6 @@ func TestLETBudgetEquivalence(t *testing.T) {
 	}
 }
 
-// TestPollReceiverEquivalence: replacing the receiver goroutine with
-// compute-thread polling changes only when LETs are noticed, never what is
-// walked; an 8-rank polled run must match the pipelined run to
-// floating-point accumulation noise (LET walk order depends on arrival
-// order in both modes).
-func TestPollReceiverEquivalence(t *testing.T) {
-	parts := plummer(4_000, 9)
-
-	run := func(poll bool) []float64 {
-		s, err := New(Config{Ranks: 8, Theta: 0.4, Eps: 0.05, WorkersPerRank: 2, PollReceiver: poll}, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := s.ComputeForces()
-		if st.LETsRecv == 0 {
-			t.Fatalf("poll=%v: no full LETs exchanged; the test would not exercise the receive path", poll)
-		}
-		acc, _ := s.Accelerations()
-		mags := make([]float64, len(acc))
-		for i, a := range acc {
-			mags[i] = a.Norm2()
-		}
-		return mags
-	}
-	ref := run(false)
-	got := run(true)
-	var sum2, ref2 float64
-	for i := range ref {
-		d := math.Sqrt(ref[i]) - math.Sqrt(got[i])
-		sum2 += d * d
-		ref2 += ref[i]
-	}
-	if rms := math.Sqrt(sum2 / ref2); rms > 1e-12 {
-		t.Errorf("polled run diverged from pipelined: rms %v", rms)
-	}
-}
-
 // TestProcSemRespectsCapacity hammers the process semaphore from many
 // goroutines and checks the concurrent-holder count never exceeds the cap.
 func TestProcSemRespectsCapacity(t *testing.T) {

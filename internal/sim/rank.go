@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bonsai/internal/body"
 	"bonsai/internal/domain"
-	"bonsai/internal/globtree"
 	"bonsai/internal/keys"
 	"bonsai/internal/lettree"
 	"bonsai/internal/mpi"
@@ -60,8 +58,7 @@ type rank struct {
 	// Observability (all nil when tracing is disabled): the rank's span
 	// buffer, the shared histogram set, the current evaluation sequence
 	// number, and the evaluation-scoped LET arrival timestamps (obs-epoch
-	// ns; written by the receiver goroutine, read by the compute thread
-	// after the arrival channel drains).
+	// ns, recorded by the compute thread as it receives each LET).
 	obs       *obs.RankRec
 	met       *obs.Metrics
 	eval      int
@@ -116,7 +113,7 @@ type walkTargets struct {
 
 const (
 	tagLETBase      = 1 << 20        // user-tag space for LET pushes, offset by step parity
-	tagBoundaryBase = tagLETBase + 2 // boundary-tree pushes (overlap modes), offset by step parity
+	tagBoundaryBase = tagLETBase + 2 // boundary-tree pushes (overlapped schedule), offset by step parity
 )
 
 // stepForces runs the full force pipeline for one step and leaves
@@ -300,16 +297,24 @@ func (r *rank) sortBuild() {
 	r.parts, r.spare = r.spare, r.parts
 }
 
-// gravity performs the overlapped local + LET force computation, the paper's
-// three-role pipeline (§III.B.3): a receiver goroutine drains incoming full
-// LETs into a channel as they arrive, a pool of builder goroutines constructs
-// and pushes outgoing LETs, and the compute side interleaves the local-tree
-// walk with walks of already-arrived LETs so an arrived tree never waits for
-// the local walk to finish. Config.SerialLET removes all overlap — builds
-// before the walk on the compute thread, receives strictly after — as the
-// measurable baseline for the overlap benchmarks. Config.PollReceiver keeps
-// the overlap but drops the receiver goroutine: the compute thread polls the
-// mailbox between local-walk chunks instead.
+// gravity performs the local + LET force computation over one push-style
+// exchange: every rank ships its boundary tree to every peer, both sides of
+// each pair evaluate the same sufficiency predicate on the same two boundary
+// trees (the paper's symmetric double-check, no handshake), and a full LET
+// moves only where the receiver's boundary view is insufficient. Two
+// schedules run that exchange:
+//
+//   - overlapped (the default; the paper's pipeline, §III.B.3): boundary
+//     trees are pushed point-to-point, a pool of builder goroutines
+//     constructs and pushes outgoing LETs as peers' boundaries arrive, and
+//     the compute thread polls the mailbox between local-walk chunks,
+//     walking every LET that has already landed. After the local walk it
+//     drains the stragglers, stealing queued LET builds while it waits.
+//   - Config.SerialLET: no overlap at all — a blocking boundary allgather,
+//     builds on the compute thread before the walk, receives strictly after
+//     it in ascending peer order. Bitwise reproducible, it is the oracle the
+//     overlapped schedule is tested against and the baseline of the overlap
+//     benchmarks.
 //
 // The target side (groups, their SoA views, outputs, and the advertised box)
 // comes from t: the full pipeline passes every local particle, block-timestep
@@ -321,109 +326,32 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 	me := r.comm.Rank()
 	theta, eps2 := r.cfg.Theta, r.cfg.Eps*r.cfg.Eps
 	tag := tagLETBase + tagPar
+	btag := tagBoundaryBase + tagPar
 
 	// --- Boundary tree exchange. The SerialLET baseline keeps the blocking
-	// allgather, fully exposing the exchange cost. The overlap modes
-	// pipeline the exchange itself: the local boundary tree is pushed
-	// point-to-point and arrivals are processed between local-walk chunks,
-	// so the exchange hides behind the walk just like the LET traffic it
-	// gates. With Config.GlobalTree > 0 the exchange is also hierarchical:
-	// a shared coarse global octree decides, per pair, whether any boundary
-	// tree needs to move at all.
+	// allgather, fully exposing the exchange cost. The overlapped schedule
+	// pushes the local boundary tree point-to-point and processes arrivals
+	// between local-walk chunks, so the exchange hides behind the walk just
+	// like the LET traffic it gates.
 	tB := time.Now()
 	myBoundary := lettree.BoundaryTree(r.tree, r.cfg.BoundaryDepth, t.box)
-	boundaries := make([]*lettree.LET, p)
-	boundaries[me] = myBoundary
-
-	// Coarse global octree (Config.GlobalTree levels K > 0): one ring
-	// allgather of tiny depth-K boundary-tree prefixes plus octant occupancy
-	// histograms replaces the all-to-all boundary exchange for distant
-	// pairs. Every rank merges the same contributions into the same coarse
-	// tree and evaluates the same MAC predicates, so the pruning decisions
-	// are symmetric and handshake-free like the rest of the push protocol.
-	// A coarse contribution is a bit-exact prefix of the full boundary tree
-	// (K ≤ BoundaryDepth is enforced by the config): when it is sufficient
-	// for our targets, walking it yields bitwise the accelerations the full
-	// boundary tree would have, and the pair exchanges nothing at all.
-	var glob *globtree.Global
-	var sendBoundary []bool // j's coarse view of us is insufficient: push our boundary
-	nearRecv := 0           // full boundary trees en route to us
-	if K := r.cfg.GlobalTree; K > 0 && p > 1 {
-		contrib := globtree.Extract(r.tree, K, t.box)
-		all := mpi.AllgatherRing(r.comm, contrib, (*globtree.Contribution).WireBytes)
-		glob = globtree.Merge(all, K)
-		sendBoundary = make([]bool, p)
-		// With K == BoundaryDepth the coarse contribution IS the boundary
-		// tree (identical construction), so the allgather already delivered
-		// every boundary and no pair needs a separate push at all.
-		dedup := K >= r.cfg.BoundaryDepth
-		for j := 0; j < p; j++ {
-			if j == me {
-				continue
-			}
-			if dedup {
-				boundaries[j] = glob.Coarse(j)
-				if glob.Sufficient(j, t.box, theta) {
-					r.stats.GlobalServed++
-				}
-				continue
-			}
-			if !glob.Sufficient(me, glob.Box(j), theta) {
-				sendBoundary[j] = true
-				r.stats.BoundarySent++
-			}
-			if glob.Sufficient(j, t.box, theta) {
-				// Distant pair: j's coarse tree serves every target we have.
-				boundaries[j] = glob.Coarse(j)
-				r.stats.GlobalServed++
-			} else {
-				nearRecv++
-			}
-		}
-		r.stats.GlobBytes += int64(glob.WireBytes())
-	}
-
+	var boundaries []*lettree.LET
 	if r.cfg.SerialLET {
-		if glob == nil {
-			boundaries = mpi.Allgather(r.comm, myBoundary, myBoundary.WireBytes())
-			r.stats.BoundarySent += p - 1
-			r.stats.LETBytesSent += int64(myBoundary.WireBytes()) * int64(p-1)
-		} else {
-			// Hierarchical exchange: full boundary trees move only within
-			// the MAC-determined neighborhood, received in deterministic
-			// (ascending peer) order. Sends are eager, so every rank posts
-			// its pushes before blocking on receives — no deadlock.
-			btag := tagBoundaryBase + tagPar
-			for j := 0; j < p; j++ {
-				if sendBoundary[j] {
-					r.comm.Send(j, btag, myBoundary, myBoundary.WireBytes())
-					r.stats.LETBytesSent += int64(myBoundary.WireBytes())
-				}
-			}
-			for j := 0; j < p; j++ {
-				if j != me && boundaries[j] == nil {
-					boundaries[j] = r.comm.Recv(j, btag).(*lettree.LET)
-				}
-			}
-		}
+		boundaries = mpi.Allgather(r.comm, myBoundary, myBoundary.WireBytes())
 	} else {
-		btag := tagBoundaryBase + tagPar
+		boundaries = make([]*lettree.LET, p)
+		boundaries[me] = myBoundary
 		for j := 0; j < p; j++ {
-			if j == me || (glob != nil && !sendBoundary[j]) {
-				continue
+			if j != me {
+				r.comm.Send(j, btag, myBoundary, myBoundary.WireBytes())
 			}
-			r.comm.Send(j, btag, myBoundary, myBoundary.WireBytes())
-			r.stats.LETBytesSent += int64(myBoundary.WireBytes())
-		}
-		if glob == nil {
-			r.stats.BoundarySent += p - 1
 		}
 	}
+	r.stats.LETBytesSent += int64(myBoundary.WireBytes()) * int64(p-1)
 	boundaryTime := time.Since(tB)
 	r.obs.Span(r.eval, obs.PhaseBoundary, obs.LaneCompute, 0, tB, tB.Add(boundaryTime), 0)
 
 	var localWalk, letWalk, waitTime time.Duration
-	var recvIdle atomic.Int64 // nanoseconds the receiver spent blocked
 
 	// --- LET construction: build and push a full LET to destination j.
 	// BuildFor only reads the local tree and j's (already stored) boundary
@@ -457,7 +385,7 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 			r.obs.Span(r.eval, obs.PhaseLETBuild, lane, worker, tb, time.Now(), int64(j))
 		}
 	}
-	done := make(chan struct{})
+	var builders sync.WaitGroup // the overlapped schedule's LET-builder pool
 
 	walkRemote := func(l *lettree.LET, src int, ph obs.Phase, from string) {
 		tW := time.Now()
@@ -478,11 +406,12 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 
 	// recordArrival notes a full LET's arrival for the hidden-vs-straggler
 	// analysis: a trace instant plus the epoch timestamp the offsets are
-	// computed from once the local walk's completion time is known. Called
-	// by whichever goroutine performed the receive, always before the LET
-	// is handed to the compute side.
-	recordArrival := func(at time.Time, from int, lane obs.Lane) {
-		r.obs.Mark(r.eval, obs.PhaseArrive, lane, at, int64(from))
+	// computed from once the local walk's completion time is known.
+	recordArrival := func(at time.Time, from int) {
+		if r.obs == nil {
+			return
+		}
+		r.obs.Mark(r.eval, obs.PhaseArrive, obs.LaneCompute, at, int64(from))
 		r.arrivalNS = append(r.arrivalNS, r.obs.Since(at))
 	}
 
@@ -501,21 +430,14 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 
 	if r.cfg.SerialLET {
 		// --- Decide, for every remote pair, whether boundary trees
-		// suffice. Both sides of each pair evaluate the same predicate on
-		// the same allgathered data, so no handshake is needed (the
-		// paper's symmetric double-check).
+		// suffice, from the allgathered data.
 		sendTo := make([]int, 0, p)   // ranks that need a full LET from us
 		expectFrom := make([]int, 0)  // ranks that will push a full LET to us
-		useBoundary := make([]int, 0) // ranks whose boundary/coarse tree serves as LET
+		useBoundary := make([]int, 0) // ranks whose boundary tree serves as LET
 		for j := 0; j < p; j++ {
 			if j == me {
 				continue
 			}
-			// boundaries[j] is j's full boundary tree, or — with the global
-			// tree on, for distant pairs — j's coarse tree. The coarse tree
-			// is a bit-exact prefix of the boundary tree and was pre-vetted
-			// sufficient, so both predicates below read identically to the
-			// unpruned exchange.
 			if !lettree.Sufficient(myBoundary, boundaries[j].Box, theta) {
 				sendTo = append(sendTo, j)
 			}
@@ -534,15 +456,12 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 		}
 		waitTime += time.Since(tS)
 		r.stats.LETsSent += len(sendTo)
-		close(done)
 
 		// Baseline ordering: full local walk, then boundary trees, then
 		// blocking receives in deterministic (ascending peer) order. The
 		// fixed receive order makes the floating-point accumulation order —
-		// and therefore the accelerations — bitwise reproducible, which is
-		// what lets the pruned exchange be fuzzed for exact equivalence
-		// against this baseline. Sends are eager, so the known-source
-		// receives cannot deadlock.
+		// and therefore the accelerations — bitwise reproducible. Sends are
+		// eager, so the known-source receives cannot deadlock.
 		tL := time.Now()
 		r.tree.WalkObs(t.groups, t.pos, theta, eps2, t.acc, t.pot,
 			r.cfg.WorkersPerRank, &r.stats.Grav, r.met.ListLenHist())
@@ -560,58 +479,23 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 			waitTime += d
 			if r.obs != nil {
 				r.obs.Span(r.eval, obs.PhaseWaitLET, obs.LaneCompute, 0, tR, tR.Add(d), int64(j))
-				recordArrival(tR.Add(d), j, obs.LaneCompute)
 			}
+			recordArrival(tR.Add(d), j)
 			walkRemote(msg.(*lettree.LET), j, obs.PhaseWalkLET, "received LET")
 			r.stats.LETsRecv++
 		}
 	} else {
-		// --- Overlapped modes. Boundaries are processed the moment they
+		// --- Overlapped schedule. Boundaries are processed the moment they
 		// arrive (between local-walk chunks): each one immediately yields
 		// the pairwise sufficiency decisions — feeding the LET-builder pool
 		// without waiting for the slowest peer — and sufficient boundary
 		// trees are banked as guaranteed work for the straggler window
-		// after the local walk. Both sides of each pair evaluate the same
-		// predicate on the same two boundary trees, so no handshake is
-		// needed (the paper's symmetric double-check).
-		btag := tagBoundaryBase + tagPar
-		bLeft := p - 1 // boundaries still in flight
-		if glob != nil {
-			bLeft = nearRecv // distant peers were pruned: nothing in flight from them
-		}
+		// after the local walk.
+		bLeft := p - 1  // boundaries still in flight
 		expectFrom := 0 // full LETs that will arrive for us (grows as boundaries land)
 		letsSent := 0
-		var boundaryWalks []int   // ranks whose boundary/coarse tree serves as LET
+		var boundaryWalks []int   // ranks whose boundary tree serves as LET
 		jobs := make(chan int, p) // full-LET destinations, fed per arrival
-		var letCount chan int     // final expectFrom for the receiver goroutine
-		if !r.cfg.PollReceiver {
-			letCount = make(chan int, 1)
-		}
-		if glob != nil {
-			// Prefilled pairs settle immediately from the allgathered coarse
-			// data, through the same pairwise predicates an arriving boundary
-			// tree would face: a full LET is owed whenever our boundary tree
-			// alone cannot serve j's targets, and j's tree either banks as
-			// guaranteed local work or announces a full LET en route. With
-			// K < BoundaryDepth only mutually-distant peers are prefilled and
-			// both predicates settle the cheap way (monotonicity of the MAC
-			// over depth-truncation); with K == BoundaryDepth every peer is
-			// prefilled and near pairs exchange full LETs directly.
-			for j := 0; j < p; j++ {
-				if j == me || boundaries[j] == nil {
-					continue
-				}
-				if !lettree.Sufficient(myBoundary, boundaries[j].Box, theta) {
-					letsSent++
-					jobs <- j
-				}
-				if lettree.Sufficient(boundaries[j], myBoundary.Box, theta) {
-					boundaryWalks = append(boundaryWalks, j)
-				} else {
-					expectFrom++
-				}
-			}
-		}
 		processBoundary := func(from int, bt *lettree.LET) {
 			boundaries[from] = bt
 			if !lettree.Sufficient(myBoundary, bt.Box, theta) {
@@ -625,16 +509,10 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 			}
 			if bLeft--; bLeft == 0 {
 				close(jobs)
-				if letCount != nil {
-					letCount <- expectFrom
-				}
 			}
 		}
-		if bLeft == 0 { // single rank or fully prefilled: no boundaries in flight
+		if bLeft == 0 { // single rank: no boundaries in flight
 			close(jobs)
-			if letCount != nil {
-				letCount <- expectFrom
-			}
 		}
 
 		// Builder pool: consumes destinations as boundaries arrive, so
@@ -642,69 +520,33 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 		// boundaries[j] store in processBoundary happens-before the jobs
 		// send, so builders safely read the destination box. steal is the
 		// compute thread's private view of the queue: it is nilled out once
-		// drained (a nil channel never matches in a select), while the
-		// builders keep ranging over jobs itself.
+		// drained, while the builders keep ranging over jobs itself.
 		steal := jobs
-		var bwg sync.WaitGroup
 		for w := 0; w < r.cfg.letBuilders(p-1); w++ {
-			bwg.Add(1)
+			builders.Add(1)
 			go func(w int) {
-				defer bwg.Done()
+				defer builders.Done()
 				for j := range jobs {
 					buildLET(j, w)
 				}
 			}(w)
 		}
-		go func() { bwg.Wait(); close(done) }()
-
-		// Receiver goroutine (pipelined mode only): drains the mailbox as
-		// messages arrive so a LET is ready for the compute side the moment
-		// the sender pushes it. It learns how many LETs to expect once the
-		// compute side has processed every boundary. The payload carries
-		// the source rank so the compute-side walk span can name it.
-		type letArrival struct {
-			let  *lettree.LET
-			from int
-		}
-		var arrivals chan letArrival
-		if !r.cfg.PollReceiver {
-			arrivals = make(chan letArrival, p)
-			go func() {
-				defer close(arrivals)
-				for k := <-letCount; k > 0; k-- {
-					tR := time.Now()
-					from, msg := r.comm.RecvAny(tag)
-					recvIdle.Add(int64(time.Since(tR)))
-					if r.obs != nil {
-						now := time.Now()
-						r.obs.Span(r.eval, obs.PhaseRecvWait, obs.LaneReceiver, 0, tR, now, int64(from))
-						// The append happens-before the channel send below,
-						// and the compute thread reads arrivalNS only after
-						// draining the closed channel: no race.
-						recordArrival(now, from, obs.LaneReceiver)
-					}
-					arrivals <- letArrival{msg.(*lettree.LET), from}
-				}
-			}()
-		}
 
 		// Compute: interleave local-tree chunks with boundary processing
-		// and walks of already-arrived LETs. Chunks are sized to give the
-		// pipeline regular poll points while keeping each chunk wide enough
-		// to feed the walk worker pool.
+		// and walks of already-arrived LETs, polling the mailbox between
+		// chunks. Chunks are sized to give the pipeline regular poll points
+		// while keeping each chunk wide enough to feed the walk worker pool.
 		chunk := (len(t.groups) + 15) / 16
 		if chunk < r.cfg.WorkersPerRank {
 			chunk = r.cfg.WorkersPerRank
 		}
 		letRecvd := 0
-		pollLET := func(overlapped bool) bool { // polled-receiver mode only
+		pollLET := func(overlapped bool) bool {
 			from, msg, ok := r.comm.TryRecvAny(tag)
 			if !ok {
 				return false
 			}
-			if r.obs != nil {
-				recordArrival(time.Now(), from, obs.LaneCompute)
-			}
+			recordArrival(time.Now(), from)
 			walkRemote(msg.(*lettree.LET), from, obs.PhaseWalkLET, "received LET")
 			letRecvd++
 			r.stats.LETsRecv++
@@ -721,24 +563,8 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 					continue
 				}
 			}
-			if r.cfg.PollReceiver {
-				if pollLET(true) {
-					continue
-				}
-			} else {
-				select {
-				case a, ok := <-arrivals:
-					if !ok {
-						arrivals = nil
-						break
-					}
-					walkRemote(a.let, a.from, obs.PhaseWalkLET, "received LET")
-					letRecvd++
-					r.stats.LETsRecv++
-					r.stats.LETsOverlapped++
-					continue
-				default:
-				}
+			if pollLET(true) {
+				continue
 			}
 			n := chunk
 			if n > len(pending) {
@@ -773,75 +599,39 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 			r.stats.BoundaryUsed++
 		}
 
-		// Straggler drain. While blocked waiting for a remote LET the
-		// compute thread steals queued LET-build jobs from its own pool —
-		// finishing sends sooner helps the peers this rank is waiting on.
-		if r.cfg.PollReceiver {
-			for letRecvd < expectFrom {
-				if pollLET(false) {
+		// Straggler drain. Before blocking on a remote LET the compute
+		// thread steals queued LET-build jobs from its own pool — finishing
+		// sends sooner helps the peers this rank is waiting on. jobs is
+		// closed by now, so the steal receive never blocks.
+		for letRecvd < expectFrom {
+			if pollLET(false) {
+				continue
+			}
+			if steal != nil {
+				if j, ok := <-steal; ok {
+					buildLET(j, 0)
 					continue
 				}
-				if steal != nil {
-					select {
-					case j, ok := <-steal:
-						if !ok {
-							steal = nil
-						} else {
-							buildLET(j, 0)
-						}
-						continue
-					default:
-					}
-				}
-				tR := time.Now()
-				from, msg := r.comm.RecvAny(tag)
-				d := time.Since(tR)
-				waitTime += d
-				if r.obs != nil {
-					r.obs.Span(r.eval, obs.PhaseWaitLET, obs.LaneCompute, 0, tR, tR.Add(d), int64(from))
-					recordArrival(tR.Add(d), from, obs.LaneCompute)
-				}
-				walkRemote(msg.(*lettree.LET), from, obs.PhaseWalkLET, "received LET")
-				letRecvd++
-				r.stats.LETsRecv++
+				steal = nil
 			}
-		} else {
-			for arrivals != nil {
-				tR := time.Now()
-				select {
-				case a, ok := <-arrivals:
-					if !ok {
-						arrivals = nil
-						continue
-					}
-					d := time.Since(tR)
-					waitTime += d
-					r.obs.Span(r.eval, obs.PhaseWaitLET, obs.LaneCompute, 0, tR, tR.Add(d), int64(a.from))
-					walkRemote(a.let, a.from, obs.PhaseWalkLET, "received LET")
-					letRecvd++
-					r.stats.LETsRecv++
-				case j, ok := <-steal:
-					if !ok {
-						steal = nil // nil channel: case blocks from now on
-					} else {
-						buildLET(j, 0)
-					}
-				}
+			tR := time.Now()
+			from, msg := r.comm.RecvAny(tag)
+			d := time.Since(tR)
+			waitTime += d
+			if r.obs != nil {
+				r.obs.Span(r.eval, obs.PhaseWaitLET, obs.LaneCompute, 0, tR, tR.Add(d), int64(from))
 			}
+			recordArrival(tR.Add(d), from)
+			walkRemote(msg.(*lettree.LET), from, obs.PhaseWalkLET, "received LET")
+			letRecvd++
+			r.stats.LETsRecv++
 		}
 
 		// Builds still queued have no receiver to overlap with any more:
-		// run them here instead of idling in the <-done wait below.
-		for steal != nil {
-			select {
-			case j, ok := <-steal:
-				if !ok {
-					steal = nil
-				} else {
-					buildLET(j, 0)
-				}
-			default:
-				steal = nil
+		// run them here instead of idling in the pool wait below.
+		if steal != nil {
+			for j := range steal {
+				buildLET(j, 0)
 			}
 		}
 		r.stats.LETsSent += letsSent
@@ -849,7 +639,7 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 
 	// Wait for our own sends to finish building (they overlap the walks).
 	tWd := time.Now()
-	<-done
+	builders.Wait()
 	dWd := time.Since(tWd)
 	waitTime += dWd
 	r.obs.Span(r.eval, obs.PhaseWaitLET, obs.LaneCompute, 0, tWd, tWd.Add(dWd), -1)
@@ -860,8 +650,7 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 	// Fold the evaluation's LET arrivals into the arrival-offset histogram:
 	// arrival time minus local-walk completion, negative when communication
 	// was fully hidden behind the walk, positive when the compute side had to
-	// wait (a straggler sender). All receiver-goroutine appends to arrivalNS
-	// happened-before the channel receives the loops above completed.
+	// wait (a straggler sender).
 	if r.obs != nil {
 		worst := int64(math.MinInt64)
 		for _, a := range r.arrivalNS {
@@ -881,7 +670,6 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 	r.stats.Times.GravLocal = localWalk
 	r.stats.Times.GravLET = letWalk
 	r.stats.Times.NonHiddenComm = boundaryTime + waitTime
-	r.stats.RecvIdle = time.Duration(recvIdle.Load())
 }
 
 // finishForces applies the target-local post-processing of a gravity phase:

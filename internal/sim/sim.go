@@ -11,11 +11,19 @@
 //  3. Morton sort of local particles ("Sorting SFC")
 //  4. octree construction ("Tree-construction")
 //  5. multipole computation ("Tree-properties")
-//  6. gravity: boundary-tree allgather, then the local tree-walk overlapped
-//     with building/pushing/receiving full LETs; remote forces are computed
-//     from each LET as it arrives ("Compute gravity Local-tree" /
+//  6. gravity: every rank pushes its boundary tree to every peer and a full
+//     LET to each peer its boundary tree cannot serve; remote forces are
+//     computed from each boundary tree or LET ("Compute gravity Local-tree" /
 //     "Compute gravity LETs" / "Non-hidden LET comm")
 //  7. second-order leapfrog (KDK) integration
+//
+// The gravity phase runs that one exchange under two schedules. The default
+// overlaps it with the local tree-walk: a LET-builder pool builds and pushes
+// outgoing LETs as peers' boundary trees arrive, and the compute thread polls
+// the mailbox between local-walk chunks, walking each arrived LET at once.
+// Config.SerialLET removes all overlap (allgather, builds before the walk,
+// receives after it in ascending peer order) and is bitwise reproducible:
+// the oracle the overlapped schedule is tested against.
 //
 // Forces are independent of the rank count up to multipole acceptance error,
 // which the test suite verifies against direct summation.
@@ -46,18 +54,8 @@ type Config struct {
 	NGroup         int     // target group size (default 64)
 	BoundaryDepth  int     // boundary-tree depth (default 4)
 	DomainFreq     int     // steps between domain updates (default 4)
-	// GlobalTree enables the shared coarse global octree: every gravity
-	// evaluation ring-allgathers the top GlobalTree levels of each rank's
-	// octree (a boundary-tree prefix plus occupancy histograms), merges them
-	// into one coarse tree replicated on every rank, and uses it to prune
-	// the boundary exchange — distant rank pairs are served entirely from
-	// the coarse cells and never exchange boundary trees. The value is the
-	// coarse depth K, clamped to BoundaryDepth (the coarse tree must stay a
-	// bit-exact prefix of the boundary tree for the pruned walks to be
-	// exact). 0 (the default) keeps the all-to-all boundary exchange.
-	GlobalTree int
-	PX         int // decomposition DD-process count (0 = auto)
-	SnapLevel  int // snap domain bounds to level-k octree cells (0 = off)
+	PX             int     // decomposition DD-process count (0 = auto)
+	SnapLevel      int     // snap domain bounds to level-k octree cells (0 = off)
 
 	// BlockSteps enables hierarchical power-of-two block timesteps: each
 	// particle integrates at DT/2^rung with the rung chosen from the
@@ -106,20 +104,13 @@ type Config struct {
 	LETBudget int
 
 	// SerialLET disables all communication/compute overlap in the gravity
-	// phase: outgoing LETs are built and pushed on the compute thread
-	// before the local tree-walk, and incoming ones are walked only after
-	// it completes. Kept as the measurable non-overlapped baseline for
+	// phase: boundary trees are allgathered, outgoing LETs are built and
+	// pushed on the compute thread before the local tree-walk, and incoming
+	// ones are received in ascending peer order only after it completes.
+	// The result is bitwise reproducible; it is the oracle for the default
+	// overlapped schedule and the non-overlapped baseline for
 	// BenchmarkOverlap.
 	SerialLET bool
-
-	// PollReceiver replaces the dedicated receiver goroutine of the
-	// pipelined gravity phase with polling from the compute loop: between
-	// local-walk chunks the compute thread drains whatever LETs have
-	// already arrived (mpi.TryRecvAny) and walks them inline, falling back
-	// to a blocking drain only for stragglers after the local walk. One
-	// fewer goroutine per rank, identical results, coarser arrival
-	// latency. Ignored when SerialLET is set. Default off.
-	PollReceiver bool
 
 	// Obs, if non-nil, enables event-level tracing and metrics: every rank
 	// records phase spans and gravity-pipeline events (LET build/send/
@@ -182,11 +173,6 @@ func (c Config) withDefaults() Config {
 	if c.DomainFreq <= 0 {
 		c.DomainFreq = 4
 	}
-	if c.GlobalTree > c.BoundaryDepth {
-		// Deeper coarse structure than the boundary tree would break the
-		// prefix property the pruned walks' exactness rests on.
-		c.GlobalTree = c.BoundaryDepth
-	}
 	if c.G == 0 {
 		c.G = 1
 	}
@@ -221,9 +207,6 @@ func (c Config) Validate() error {
 	if c.MaxRungs < 0 || c.MaxRungs > 16 {
 		return fmt.Errorf("sim: config MaxRungs = %d outside [0, 16]", c.MaxRungs)
 	}
-	if c.GlobalTree < 0 || c.GlobalTree > 8 {
-		return fmt.Errorf("sim: config GlobalTree = %d outside [0, 8]", c.GlobalTree)
-	}
 	return nil
 }
 
@@ -235,7 +218,10 @@ type Simulation struct {
 	step  int
 	evals int // completed force evaluations (tracing sequence number)
 	time  float64
-	first bool
+	first bool // the t=0 priming evaluation is still due
+	// primed: the priming evaluation ran this step's domain epoch, so the
+	// step's post-drift evaluation skips it (global-dt path only).
+	primed bool
 }
 
 // New distributes the particles over cfg.Ranks simulated processes. The
@@ -367,32 +353,28 @@ func (s *Simulation) recordStepMetrics(eval int, rs []RankStats, be *blockEval) 
 	}
 	rec.Metrics().ImbalanceHist().Observe(int64(agg.MaxTimes.Total - agg.Times.Total))
 	m := obs.StepMetrics{
-		Step:             eval,
-		Ranks:            agg.Ranks,
-		N:                agg.N,
-		MeanStepMS:       agg.Times.Total.Seconds() * 1e3,
-		MaxStepMS:        agg.MaxTimes.Total.Seconds() * 1e3,
-		ImbalancePct:     imbPct,
-		Straggler:        straggler,
-		NonHiddenCommMS:  agg.Times.NonHiddenComm.Seconds() * 1e3,
-		OverlapFrac:      agg.OverlapFrac,
-		LETsRecv:         agg.LETsRecv,
-		LETsOverlapped:   agg.LETsOverlapped,
-		BoundarySent:     agg.BoundarySent,
-		GlobalServed:     agg.GlobalServed,
-		GlobalServedFrac: agg.GlobalServedFrac,
-		GlobBytes:        agg.GlobBytes,
-		ArrivalsSeen:     arrivals,
-		WorstArrivalMS:   worstMS,
-		WalkGflops:       agg.WalkGflops,
-		AppGflops:        agg.AppGflops,
-		KernelISA:        agg.KernelISA,
-		SortBuildMS:      agg.Times.SortBuild.Seconds() * 1e3,
-		DomainMS:         agg.Times.Domain.Seconds() * 1e3,
-		TreePropsMS:      agg.Times.TreeProps.Seconds() * 1e3,
-		GravLocalMS:      agg.Times.GravLocal.Seconds() * 1e3,
-		GravLETMS:        agg.Times.GravLET.Seconds() * 1e3,
-		OtherMS:          agg.Times.Other.Seconds() * 1e3,
+		Step:            eval,
+		Ranks:           agg.Ranks,
+		N:               agg.N,
+		MeanStepMS:      agg.Times.Total.Seconds() * 1e3,
+		MaxStepMS:       agg.MaxTimes.Total.Seconds() * 1e3,
+		ImbalancePct:    imbPct,
+		Straggler:       straggler,
+		NonHiddenCommMS: agg.Times.NonHiddenComm.Seconds() * 1e3,
+		OverlapFrac:     agg.OverlapFrac,
+		LETsRecv:        agg.LETsRecv,
+		LETsOverlapped:  agg.LETsOverlapped,
+		ArrivalsSeen:    arrivals,
+		WorstArrivalMS:  worstMS,
+		WalkGflops:      agg.WalkGflops,
+		AppGflops:       agg.AppGflops,
+		KernelISA:       agg.KernelISA,
+		SortBuildMS:     agg.Times.SortBuild.Seconds() * 1e3,
+		DomainMS:        agg.Times.Domain.Seconds() * 1e3,
+		TreePropsMS:     agg.Times.TreeProps.Seconds() * 1e3,
+		GravLocalMS:     agg.Times.GravLocal.Seconds() * 1e3,
+		GravLETMS:       agg.Times.GravLET.Seconds() * 1e3,
+		OtherMS:         agg.Times.Other.Seconds() * 1e3,
 	}
 	if be != nil {
 		m.Substep = be.boundary
@@ -417,13 +399,7 @@ func (s *Simulation) Step() StepStats {
 	if s.cfg.BlockSteps {
 		return s.stepBlock()
 	}
-	primed := false
-	if s.first {
-		// Prime accelerations at t=0.
-		s.forces(s.domainDue())
-		s.first = false
-		primed = true
-	}
+	s.prime()
 	dt := s.cfg.DT
 	// Kick half + drift full (uses accelerations from the previous force
 	// evaluation, which are aligned with each rank's current particle order).
@@ -439,7 +415,8 @@ func (s *Simulation) Step() StepStats {
 	// domain update, positions have only drifted within the same step, so
 	// the decomposition is still fresh: skip the second update (the seed
 	// code re-decomposed and re-exchanged every particle twice at step 0).
-	rs := s.forces(s.domainDue() && !primed)
+	rs := s.forces(s.domainDue() && !s.primed)
+	s.primed = false
 	// Kick half. The span is tagged with the evaluation whose accelerations
 	// it applies (the one that just ran), so traces never mint an evaluation
 	// ID that has no force phase.
@@ -464,13 +441,40 @@ func (s *Simulation) Run(n int) []StepStats {
 	return out
 }
 
+// prime runs the t=0 priming force evaluation if it is still due: Step,
+// ComputeForces and Energy all need accelerations and potentials to exist.
+// It carries the current step's domain epoch, which the step's own
+// post-drift evaluation then skips. Returns the priming evaluation's
+// per-rank stats, or nil when it had already run.
+func (s *Simulation) prime() []RankStats {
+	if !s.first {
+		return nil
+	}
+	s.first = false
+	if s.cfg.BlockSteps {
+		evalBase, step := s.evals, s.step
+		s.parallel(func(r *rank) { r.blockPrime(step, evalBase) })
+		return s.recordBlockEvals()
+	}
+	s.primed = true
+	return s.forces(s.domainDue())
+}
+
 // ComputeForces runs the force pipeline once without advancing time. Useful
 // for scaling measurements (the paper's benchmarks time force iterations):
 // every call runs the full pipeline, including the domain update when the
-// current step is an update epoch.
+// current step is an update epoch. The first call is the priming evaluation
+// a following Step would otherwise run.
 func (s *Simulation) ComputeForces() StepStats {
+	if rs := s.prime(); rs != nil {
+		return aggregate(s.step, rs)
+	}
 	rs := s.forces(s.domainDue())
-	s.first = false
+	if s.cfg.BlockSteps && s.cfg.MaxRungs > 0 {
+		// The full rebuild reordered (and may have exchanged) the particles:
+		// re-anchor the tree-reuse drift bound to the new tree.
+		s.parallel(func(r *rank) { r.trackBuild() })
+	}
 	return aggregate(s.step, rs)
 }
 
@@ -516,10 +520,12 @@ func (s *Simulation) Accelerations() ([]vec.V3, []float64) {
 }
 
 // Energy returns the total kinetic and potential energy from the most recent
-// force evaluation. The pairwise self-gravity potential is halved (each pair
-// is counted twice by the per-particle sums); the external-field potential,
-// if any, enters at full weight.
+// force evaluation; before the first step it runs the priming evaluation,
+// so it reports the initial state. The pairwise self-gravity potential is
+// halved (each pair is counted twice by the per-particle sums); the
+// external-field potential, if any, enters at full weight.
 func (s *Simulation) Energy() (kin, pot float64) {
+	s.prime()
 	for _, r := range s.ranks {
 		ext := len(r.extPot) == len(r.parts) && len(r.extPot) > 0
 		for i := range r.parts {

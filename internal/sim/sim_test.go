@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -423,6 +424,71 @@ func TestSnapLevelKeepsPhysicsAndAlignment(t *testing.T) {
 	for _, r := range s.ranks {
 		if !r.dec.AlignedToLevel(9) {
 			t.Error("decomposition not aligned after snapping")
+		}
+	}
+}
+
+// TestEnergyBeforeFirstStep: Energy on a fresh simulation runs the priming
+// evaluation and reports the initial state (the value ComputeForces followed
+// by Energy gives). The trajectory must stay bitwise that of a run that
+// never asked, with the t=0 domain update paid once: the same message and
+// byte counts.
+func TestEnergyBeforeFirstStep(t *testing.T) {
+	parts := plummer(600, 71)
+	for _, block := range []bool{false, true} {
+		t.Run(fmt.Sprintf("block=%v", block), func(t *testing.T) {
+			cfg := Config{
+				Ranks: 4, Theta: 0.5, Eps: 0.05, DT: 1e-3, DomainFreq: 2,
+				SerialLET: true, BlockSteps: block, MaxRungs: 2,
+			}
+			mk := func() *Simulation {
+				s, err := New(cfg, parts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			ref := mk()
+			ref.Run(3)
+
+			got := mk()
+			k0, p0 := got.Energy()
+			if math.IsNaN(k0+p0) || math.IsInf(k0+p0, 0) || k0 <= 0 || p0 >= 0 {
+				t.Fatalf("initial energy K=%v W=%v", k0, p0)
+			}
+			got.Run(3)
+			exactlyEqual(t, got.Particles(), ref.Particles(), "Energy then 3 steps")
+			gw, rw := got.World(), ref.World()
+			if gw.TotalMessages() != rw.TotalMessages() || gw.TotalBytes() != rw.TotalBytes() {
+				t.Errorf("traffic %d msgs / %d B, want %d / %d: the t=0 domain update ran twice?",
+					gw.TotalMessages(), gw.TotalBytes(), rw.TotalMessages(), rw.TotalBytes())
+			}
+
+			want := mk()
+			want.ComputeForces()
+			if k, p := want.Energy(); k != k0 || p != p0 {
+				t.Errorf("initial energy K=%v W=%v, want the primed K=%v W=%v", k0, p0, k, p)
+			}
+		})
+	}
+}
+
+// TestBytesSentBoundedByMeter pins what StepStats.BytesSent counts: the
+// declared boundary-tree and LET payloads of the step. On the default
+// schedule each of them is one point-to-point send the message layer also
+// counts, so on a multi-rank step BytesSent is positive and at most the
+// step's growth of World.TotalBytes.
+func TestBytesSentBoundedByMeter(t *testing.T) {
+	s, err := New(Config{Ranks: 6, Theta: 0.4, Eps: 0.05, DomainFreq: 1}, plummer(1800, 72))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		before := s.World().TotalBytes()
+		st := s.Step()
+		metered := s.World().TotalBytes() - before
+		if st.BytesSent <= 0 || st.BytesSent > metered {
+			t.Errorf("step %d: BytesSent %d outside (0, %d] metered", i, st.BytesSent, metered)
 		}
 	}
 }

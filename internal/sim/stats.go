@@ -75,20 +75,10 @@ type RankStats struct {
 	LETsSent     int        // full LETs pushed to other ranks
 	LETsRecv     int        // full LETs received
 	BoundaryUsed int        // remote ranks served by their boundary tree alone
-	LETBytesSent int64      // serialized LET + boundary traffic
+	LETBytesSent int64      // declared (WireBytes) size of the boundary trees and LETs pushed
 
-	// Global-tree exchange-pruning counters (Config.GlobalTree > 0):
-	// boundary trees actually pushed to peers (p−1 per evaluation without
-	// pruning), peers served entirely from the shared coarse tree (no
-	// boundary exchanged with them at all), and the serialized size of the
-	// allgathered coarse contributions.
-	BoundarySent int
-	GlobalServed int
-	GlobBytes    int64
-
-	// Overlap-efficiency counters for the pipelined gravity phase.
-	LETsOverlapped int           // LETs walked before the local walk finished
-	RecvIdle       time.Duration // receiver-goroutine time blocked on arrivals
+	// Overlap-efficiency counter for the overlapped gravity schedule.
+	LETsOverlapped int // LETs walked before the local walk finished
 
 	// Event-level diagnostics, populated only when tracing is enabled
 	// (Config.Obs != nil): the worst full-LET arrival time relative to this
@@ -126,29 +116,18 @@ type StepStats struct {
 
 	LETsSent     int
 	BoundaryUsed int
-	BytesSent    int64 // all rank-to-rank traffic this step (metered)
-
-	// Exchange-pruning summary (Config.GlobalTree > 0). Every directed rank
-	// pair is either served from the shared coarse global tree or receives a
-	// full boundary tree, so GlobalServedFrac = GlobalServed /
-	// (GlobalServed + BoundarySent) is the fraction of pair-slots that
-	// skipped the boundary exchange — independent of how many evaluations
-	// the step ran. GlobBytes is the coarse-contribution traffic paid to
-	// earn the pruning.
-	BoundarySent     int
-	GlobalServed     int
-	GlobalServedFrac float64
-	GlobBytes        int64
+	// BytesSent sums the declared payload sizes (WireBytes) of the boundary
+	// trees and full LETs this step pushed. It is not the transport meter:
+	// it leaves out the domain exchange, the collectives and wire framing,
+	// which mpi.World.TotalBytes counts.
+	BytesSent int64
 
 	// Overlap efficiency of the gravity phase: how many of the received
 	// full LETs were walked while the local tree-walk was still running
-	// (OverlapFrac = LETsOverlapped/LETsRecv), and the mean per-rank time
-	// the receiver goroutine spent blocked waiting for arrivals (hidden
-	// behind the local walk, unlike Times.NonHiddenComm).
+	// (OverlapFrac = LETsOverlapped/LETsRecv).
 	LETsRecv       int
 	LETsOverlapped int
 	OverlapFrac    float64
-	RecvIdle       time.Duration
 
 	PPPerParticle float64
 	PCPerParticle float64
@@ -192,10 +171,6 @@ func aggregate(step int, rs []RankStats) StepStats {
 		out.BytesSent += rs[i].LETBytesSent
 		out.LETsRecv += rs[i].LETsRecv
 		out.LETsOverlapped += rs[i].LETsOverlapped
-		out.RecvIdle += rs[i].RecvIdle
-		out.BoundarySent += rs[i].BoundarySent
-		out.GlobalServed += rs[i].GlobalServed
-		out.GlobBytes += rs[i].GlobBytes
 		maxDur(&out.MaxTimes.SortBuild, rs[i].Times.SortBuild)
 		maxDur(&out.MaxTimes.Domain, rs[i].Times.Domain)
 		maxDur(&out.MaxTimes.TreeProps, rs[i].Times.TreeProps)
@@ -206,14 +181,8 @@ func aggregate(step int, rs []RankStats) StepStats {
 		maxDur(&out.MaxTimes.Total, rs[i].Times.Total)
 	}
 	out.Times = out.Times.Scale(len(rs))
-	if len(rs) > 0 {
-		out.RecvIdle /= time.Duration(len(rs))
-	}
 	if out.LETsRecv > 0 {
 		out.OverlapFrac = float64(out.LETsOverlapped) / float64(out.LETsRecv)
-	}
-	if slots := out.GlobalServed + out.BoundarySent; slots > 0 {
-		out.GlobalServedFrac = float64(out.GlobalServed) / float64(slots)
 	}
 	if out.N > 0 {
 		out.PPPerParticle = float64(out.Grav.PP) / float64(out.N)
