@@ -8,9 +8,8 @@ BENCH_JSON ?= BENCH_$(shell date +%Y-%m-%d).json
 # the race-detector subset covering the concurrent gravity pipeline
 # (8+ ranks, multiple walk workers), the MPI mailbox plus the socket
 # transports (the ./internal/mpi conformance matrix runs every transport
-# test over unix and tcp at 8 ranks), and the parallel sort, plus short
-# fuzzes of the fused sort+build against the separate reference and of the
-# SIMD force kernels against the scalar reference.
+# test over unix and tcp at 8 ranks), and the parallel sort, plus the four
+# short fuzzes of fuzz-smoke.
 tier1: vet build test race fuzz-smoke
 
 # A 10-second fuzz of the fused MSD sort + tree construction (random clouds,
@@ -18,13 +17,16 @@ tier1: vet build test race fuzz-smoke
 # separate sort-then-build path), a 10-second fuzz of the dispatched
 # AVX2 force kernels against the always-compiled scalar reference
 # (agreement to 1e-12, relative to the accumulated contribution magnitude),
-# and a 10-second fuzz of the MaxRungs=0 block-timestep integrator against
+# a 10-second fuzz of the MaxRungs=0 block-timestep integrator against
 # the global-dt leapfrog (bitwise-identical trajectories over random
-# Plummer models and step counts).
+# Plummer models and step counts), and a 10-second fuzz of the socket
+# transport's payload decoder (any kind tag and bytes, LETs included, must
+# decode or fail with an error, never panic).
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzSortBuildEquivalence -fuzztime 10s ./internal/octree
 	$(GO) test -run XXX -fuzz FuzzKernelEquivalence -fuzztime 10s ./internal/grav
 	$(GO) test -run XXX -fuzz FuzzBlockEquivalence -fuzztime 10s ./internal/sim
+	$(GO) test -run XXX -fuzz FuzzDecodePayload -fuzztime 10s ./internal/mpi
 
 vet:
 	$(GO) vet ./...

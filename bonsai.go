@@ -189,12 +189,11 @@ type StepStats struct {
 	// "scalar" otherwise).
 	KernelISA string
 
-	// Block-timestep accounting (zero unless Config.BlockSteps with
-	// MaxRungs > 0): Substeps counts force evaluations inside the step,
-	// Rebuilds how many of them rebuilt the tree from scratch (the rest
-	// reused the Morton order and refreshed multipoles in place), and
-	// ActiveFrac is the mean fraction of particles receiving forces per
-	// substep.
+	// Block-timestep accounting (zero unless Config.BlockSteps): Substeps
+	// counts force evaluations inside the step, Rebuilds how many of them
+	// rebuilt the tree from scratch (the rest reused the Morton order and
+	// refreshed multipoles in place), and ActiveFrac is the mean fraction
+	// of particles receiving forces per substep (0 with MaxRungs 0).
 	Substeps   int
 	Rebuilds   int
 	ActiveFrac float64
@@ -215,25 +214,7 @@ func New(cfg Config, parts []Particle) (*Simulation, error) {
 		}
 		rec = obs.New(ranks, 0)
 	}
-	inner, err := sim.New(sim.Config{
-		Ranks:          cfg.Ranks,
-		WorkersPerRank: cfg.WorkersPerRank,
-		Theta:          cfg.Theta,
-		Eps:            cfg.Softening,
-		DT:             cfg.DT,
-		NLeaf:          cfg.NLeaf,
-		NGroup:         cfg.NGroup,
-		BoundaryDepth:  cfg.BoundaryDepth,
-		DomainFreq:     cfg.DomainFreq,
-		BlockSteps:     cfg.BlockSteps,
-		MaxRungs:       cfg.MaxRungs,
-		EtaDT:          cfg.EtaDT,
-		G:              cfg.GravConst,
-		External:       wrapExternal(cfg.External),
-		LETWorkers:     cfg.LETWorkers,
-		SerialLET:      cfg.SerialLET,
-		Obs:            rec,
-	}, toBody(parts))
+	inner, err := sim.New(simConfig(cfg, rec), toBody(parts))
 	if err != nil {
 		return nil, err
 	}
@@ -409,25 +390,7 @@ func NewNodeSimulation(cfg Config, w *World, rank int, parts []Particle) (*NodeS
 		w.inner.EnableObs(rec.Metrics().QueueDepthHist())
 		w.inner.ObserveFrameBytes(rec.Metrics().FrameBytesHist())
 	}
-	inner, err := sim.NewNode(sim.Config{
-		Ranks:          cfg.Ranks,
-		WorkersPerRank: cfg.WorkersPerRank,
-		Theta:          cfg.Theta,
-		Eps:            cfg.Softening,
-		DT:             cfg.DT,
-		NLeaf:          cfg.NLeaf,
-		NGroup:         cfg.NGroup,
-		BoundaryDepth:  cfg.BoundaryDepth,
-		DomainFreq:     cfg.DomainFreq,
-		BlockSteps:     cfg.BlockSteps,
-		MaxRungs:       cfg.MaxRungs,
-		EtaDT:          cfg.EtaDT,
-		G:              cfg.GravConst,
-		External:       wrapExternal(cfg.External),
-		LETWorkers:     cfg.LETWorkers,
-		SerialLET:      cfg.SerialLET,
-		Obs:            rec,
-	}, w.inner, rank, toBody(parts))
+	inner, err := sim.NewNode(simConfig(cfg, rec), w.inner, rank, toBody(parts))
 	if err != nil {
 		return nil, err
 	}
@@ -470,9 +433,7 @@ func (n *NodeSimulation) RestoreSubstep(sub int) error { return n.inner.RestoreS
 // rank, and returns this rank's view of the step statistics.
 func (n *NodeSimulation) Step() StepStats {
 	rs := n.inner.Step()
-	st := sim.Aggregate(n.inner.StepCount(), []sim.RankStats{rs})
-	st.Substeps, st.Rebuilds, st.ActiveFrac = n.inner.BlockSummary()
-	return fromStats(st)
+	return fromStats(sim.Aggregate(n.inner.StepCount(), []sim.RankStats{rs}))
 }
 
 // Energy returns the total kinetic and potential energy across all ranks
@@ -583,6 +544,30 @@ func LoadRankCheckpoint(dir string, step, rank int) (t float64, parts []Particle
 
 // ---------------------------------------------------------------------------
 // conversions
+
+// simConfig converts the facade configuration; rec is the tracing recorder
+// (nil when Config.Tracing is off).
+func simConfig(cfg Config, rec *obs.Recorder) sim.Config {
+	return sim.Config{
+		Ranks:          cfg.Ranks,
+		WorkersPerRank: cfg.WorkersPerRank,
+		Theta:          cfg.Theta,
+		Eps:            cfg.Softening,
+		DT:             cfg.DT,
+		NLeaf:          cfg.NLeaf,
+		NGroup:         cfg.NGroup,
+		BoundaryDepth:  cfg.BoundaryDepth,
+		DomainFreq:     cfg.DomainFreq,
+		BlockSteps:     cfg.BlockSteps,
+		MaxRungs:       cfg.MaxRungs,
+		EtaDT:          cfg.EtaDT,
+		G:              cfg.GravConst,
+		External:       wrapExternal(cfg.External),
+		LETWorkers:     cfg.LETWorkers,
+		SerialLET:      cfg.SerialLET,
+		Obs:            rec,
+	}
+}
 
 func wrapExternal(f ExternalField) func(vec.V3) (vec.V3, float64) {
 	if f == nil {

@@ -25,6 +25,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"time"
 
 	"bonsai"
 )
@@ -199,19 +200,7 @@ func main() {
 		exchDeclared += st.BytesSent
 		if !*quiet {
 			k, p := s.Energy()
-			block := ""
-			if st.Substeps > 0 {
-				block = fmt.Sprintf("  sub %d/%d reb, active %3.0f%%",
-					st.Substeps, st.Rebuilds, st.ActiveFrac*100)
-			}
-			fmt.Printf("step %4d  t=%7.2f Myr  E=%12.5e  step=%6.0f ms  [sort+build %3.0f dom %3.0f props %3.0f grav %4.0f+%4.0f comm %3.0f]  pp/pc %.0f/%.0f  %5.2f Gflop/s%s\n",
-				startStep+s.StepCount(), (startTime+bonsai.Gyr(s.Time()))*1e3, k+p,
-				st.MaxTimes.Total.Seconds()*1e3,
-				st.Times.SortBuild.Seconds()*1e3, st.Times.Domain.Seconds()*1e3,
-				st.Times.TreeProps.Seconds()*1e3,
-				st.Times.GravLocal.Seconds()*1e3, st.Times.GravLET.Seconds()*1e3,
-				st.Times.NonHiddenComm.Seconds()*1e3,
-				st.PPPerParticle, st.PCPerParticle, st.AppGflops, block)
+			fmt.Println(stepLine(startStep+s.StepCount(), startTime+bonsai.Gyr(s.Time()), k+p, st))
 		}
 		if *snapEvery > 0 && (i+1)%*snapEvery == 0 {
 			path := fmt.Sprintf("%s_%05d.snap", *snapPrefix, startStep+s.StepCount())
@@ -247,6 +236,25 @@ func main() {
 	k, p := s.Energy()
 	fmt.Printf("done: t=%.4f Gyr, E=%.5e K=%.4e W=%.4e, comm=%.1f MB\n",
 		startTime+bonsai.Gyr(s.Time()), k+p, k, p, float64(s.CommBytes())/1e6)
+}
+
+// stepLine formats the per-step progress line of both the in-process run
+// and rank 0 of a multi-process run: absolute step number, time (gyr in
+// Gyr), total energy e, the slowest rank's step time with the mean phase
+// breakdown, interactions per particle, the application rate, and the
+// block-timestep summary when the step ran substeps. make block-smoke
+// parses the E= token.
+func stepLine(step int, gyr, e float64, st bonsai.StepStats) string {
+	block := ""
+	if st.Substeps > 0 {
+		block = fmt.Sprintf("  sub %d/%d reb, active %3.0f%%", st.Substeps, st.Rebuilds, st.ActiveFrac*100)
+	}
+	ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 }
+	return fmt.Sprintf("step %4d  t=%7.2f Myr  E=%12.5e  step=%6.0f ms  [sort+build %3.0f dom %3.0f props %3.0f grav %4.0f+%4.0f comm %3.0f]  pp/pc %.0f/%.0f  %5.2f Gflop/s%s",
+		step, gyr*1e3, e, ms(st.MaxTimes.Total),
+		ms(st.Times.SortBuild), ms(st.Times.Domain), ms(st.Times.TreeProps),
+		ms(st.Times.GravLocal), ms(st.Times.GravLET), ms(st.Times.NonHiddenComm),
+		st.PPPerParticle, st.PCPerParticle, st.AppGflops, block)
 }
 
 // writeFileWith creates path and streams an exporter into it.

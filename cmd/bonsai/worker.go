@@ -154,13 +154,7 @@ func runWorker(lc launchConfig, rank int, wc workerSimConfig) {
 		if !lc.quiet {
 			k, p := n.Energy() // collective: every rank participates
 			if rank == 0 {
-				fmt.Printf("step %4d  t=%7.2f Myr  E=%12.5e  step=%6.0f ms  [sort+build %3.0f dom %3.0f props %3.0f grav %4.0f+%4.0f comm %3.0f]\n",
-					startStep+n.StepCount(), (startTime+bonsai.Gyr(n.Time()))*1e3, k+p,
-					st.Times.Total.Seconds()*1e3,
-					st.Times.SortBuild.Seconds()*1e3, st.Times.Domain.Seconds()*1e3,
-					st.Times.TreeProps.Seconds()*1e3,
-					st.Times.GravLocal.Seconds()*1e3, st.Times.GravLET.Seconds()*1e3,
-					st.Times.NonHiddenComm.Seconds()*1e3)
+				fmt.Println(stepLine(startStep+n.StepCount(), startTime+bonsai.Gyr(n.Time()), k+p, st))
 			}
 		}
 		if lc.ckptEvery > 0 && n.StepCount()%lc.ckptEvery == 0 && n.StepCount() < lc.steps {

@@ -128,10 +128,9 @@ func TestWirePayloadsAreDeepCopies(t *testing.T) {
 	})
 }
 
-func TestWireCodecRoundTripsSimPayloads(t *testing.T) {
-	// Every payload type the simulation sends, pushed through a real socket
-	// and compared structurally: the decoded value must be the concrete type
-	// and content that went in.
+// samplePayloads returns one value of every payload type the simulation
+// sends, for the codec round-trip test and the decoder fuzz seeds.
+func samplePayloads() []any {
 	let := &lettree.LET{
 		Cells: []lettree.Cell{{
 			MP:       grav.Multipole{COM: vec.V3{X: 1, Y: 2, Z: 3}, M: 4.5, Quad: vec.Sym3{XX: 1, XY: 2, XZ: 3, YY: 4, YZ: 5, ZZ: 6}},
@@ -146,7 +145,7 @@ func TestWireCodecRoundTripsSimPayloads(t *testing.T) {
 		Parts: []lettree.Part{{Pos: vec.V3{X: 1}, Mass: 2}, {Pos: vec.V3{Y: 3}, Mass: 4}},
 		Box:   vec.Box{Min: vec.V3{X: -1, Y: -1, Z: -1}, Max: vec.V3{X: 1, Y: 1, Z: 1}},
 	}
-	payloads := []any{
+	return []any{
 		nil,
 		true,
 		int(-42),
@@ -168,6 +167,13 @@ func TestWireCodecRoundTripsSimPayloads(t *testing.T) {
 		let,
 		[]*lettree.LET{nil, let},
 	}
+}
+
+func TestWireCodecRoundTripsSimPayloads(t *testing.T) {
+	// Every payload type the simulation sends, pushed through a real socket
+	// and compared structurally: the decoded value must be the concrete type
+	// and content that went in.
+	payloads := samplePayloads()
 	sp := sockSpawn("tcp")
 	sp(2, func(c *Comm) {
 		if c.Rank() == 0 {

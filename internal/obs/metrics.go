@@ -109,11 +109,12 @@ func (m *Metrics) Snapshot() []HistSnapshot {
 }
 
 // StepMetrics is one line of the per-step JSONL metrics stream: the overlap
-// and straggler summary of one force evaluation. An in-process Simulation
-// emits one aggregated record per evaluation (Rank 0, Ranks = world size,
-// mean/max over ranks); a multi-process Node emits one per-rank record per
-// evaluation (Rank = the reporting rank, Mean == Max == that rank's step
-// time), and the telemetry collector merges the per-rank streams.
+// and straggler summary of one force evaluation. Every rank writes one
+// record per evaluation (Rank = the reporting rank, Mean == Max == that
+// rank's step time); MergeStepMetrics folds the records of one evaluation
+// into the aggregate (Ranks = world size, mean/max over ranks, Straggler =
+// the slowest rank). Recorder.Steps and the telemetry collector's merged
+// views return only that aggregated shape.
 type StepMetrics struct {
 	Step            int     `json:"step"` // force-evaluation sequence number
 	Rank            int     `json:"rank"` // reporting rank (per-rank node records)
@@ -207,11 +208,11 @@ func ReadMetricsJSONL(r io.Reader) ([]StepMetrics, error) {
 	}
 }
 
-// MergeStepMetrics folds per-rank step records (one per (evaluation, rank),
-// as a multi-process run's merged stream contains) into one aggregated record
-// per evaluation: mean/max step time over the ranks, the straggler identified
-// by rank, traffic summed. Records already aggregated (a step appearing once)
-// pass through unchanged. Output is ordered by step.
+// MergeStepMetrics folds per-rank step records (one per (evaluation, rank))
+// into one aggregated record per evaluation: mean/max step time over the
+// ranks, the straggler identified by rank, traffic summed. Records already
+// aggregated (a step appearing once) pass through unchanged, so the fold is
+// idempotent. Output is ordered by step.
 func MergeStepMetrics(steps []StepMetrics) []StepMetrics {
 	byStep := map[int][]StepMetrics{}
 	for _, m := range steps {
@@ -255,7 +256,6 @@ func MergeStepMetrics(steps []StepMetrics) []StepMetrics {
 				}
 				agg.ArrivalsSeen += m.ArrivalsSeen
 			}
-			agg.WalkGflops += m.WalkGflops
 			agg.SortBuildMS += m.SortBuildMS
 			agg.DomainMS += m.DomainMS
 			agg.TreePropsMS += m.TreePropsMS
@@ -279,15 +279,20 @@ func MergeStepMetrics(steps []StepMetrics) []StepMetrics {
 		if agg.LETsRecv > 0 {
 			agg.OverlapFrac = float64(agg.LETsOverlapped) / float64(agg.LETsRecv)
 		}
-		// Aggregate throughput: ranks walk concurrently, so the combined walk
-		// rate is the sum of per-rank rates; the application rate re-derives
-		// from the slowest rank's wall-clock via the mean-rate identity.
+		// Aggregate throughput from the total flop count, which each record
+		// carries as its application rate times its step time: ranks walk
+		// concurrently, so the walk rate divides it by the mean per-rank walk
+		// time (sim.Aggregate's meaning), and the application rate by the
+		// slowest rank's step time.
+		flops := 0.0 // Gflop/s × ms
+		for _, m := range group {
+			flops += m.AppGflops * m.MaxStepMS
+		}
+		if walk := agg.GravLocalMS + agg.GravLETMS; walk > 0 {
+			agg.WalkGflops = flops / walk
+		}
 		if agg.MaxStepMS > 0 {
-			sumApp := 0.0
-			for _, m := range group {
-				sumApp += m.AppGflops * m.MaxStepMS
-			}
-			agg.AppGflops = sumApp / agg.MaxStepMS
+			agg.AppGflops = flops / agg.MaxStepMS
 		}
 		out = append(out, agg)
 	}

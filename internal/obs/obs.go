@@ -186,16 +186,16 @@ func (r *Recorder) AddStep(m StepMetrics) {
 	r.mu.Unlock()
 }
 
-// Steps returns a copy of the recorded per-step metrics.
+// Steps returns the recorded per-step metrics, one aggregated record per
+// evaluation: the per-rank records folded by MergeStepMetrics. For a
+// recorder only one rank writes to, that fold is the identity.
 func (r *Recorder) Steps() []StepMetrics {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]StepMetrics, len(r.steps))
-	copy(out, r.steps)
-	return out
+	return MergeStepMetrics(r.steps)
 }
 
 // RankRec is one rank's preallocated span buffer. Concurrent goroutines of

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"expvar"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -128,10 +129,10 @@ func TestMergeStepMetrics(t *testing.T) {
 	perRank := []StepMetrics{
 		{Step: 0, Rank: 0, Ranks: 2, N: 500, MeanStepMS: 10, MaxStepMS: 10, Straggler: 0,
 			LETsRecv: 1, LETsOverlapped: 1, OverlapFrac: 1, ArrivalsSeen: 1, WorstArrivalMS: -2,
-			WalkGflops: 4, AppGflops: 2, KernelISA: "x", GravLocalMS: 8},
+			WalkGflops: 5, AppGflops: 4, KernelISA: "x", GravLocalMS: 8},
 		{Step: 0, Rank: 1, Ranks: 2, N: 500, MeanStepMS: 30, MaxStepMS: 30, Straggler: 1,
 			LETsRecv: 1, LETsOverlapped: 0, ArrivalsSeen: 1, WorstArrivalMS: 5,
-			WalkGflops: 2, AppGflops: 1, KernelISA: "x", GravLocalMS: 24},
+			WalkGflops: 1.25, AppGflops: 1, KernelISA: "x", GravLocalMS: 24},
 	}
 	merged := MergeStepMetrics(perRank)
 	if len(merged) != 1 {
@@ -153,8 +154,15 @@ func TestMergeStepMetrics(t *testing.T) {
 	if m.WorstArrivalMS != 5 || m.ArrivalsSeen != 2 {
 		t.Errorf("arrivals = %v/%d, want 5/2", m.WorstArrivalMS, m.ArrivalsSeen)
 	}
-	if m.WalkGflops != 6 {
-		t.Errorf("walk rate = %v, want the 6 Gflop/s sum", m.WalkGflops)
+	// The ranks are imbalanced: 40 and 30 Gflop/s·ms of work over 8 and
+	// 24 ms walks. The aggregate walk rate is the 70 total over the 16 ms
+	// mean walk (sim.Aggregate's meaning), not the 6.25 sum of the per-rank
+	// rates; the application rate is the total over the 30 ms slowest step.
+	if m.WalkGflops != 4.375 {
+		t.Errorf("walk rate = %v, want total flops over the mean walk, 4.375 Gflop/s", m.WalkGflops)
+	}
+	if want := 70.0 / 30; math.Abs(m.AppGflops-want) > 1e-12 {
+		t.Errorf("app rate = %v, want %v", m.AppGflops, want)
 	}
 	if m.GravLocalMS != 16 {
 		t.Errorf("grav_local = %v ms, want the 16 ms mean", m.GravLocalMS)

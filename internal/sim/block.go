@@ -36,7 +36,6 @@ package sim
 // the block path is then bitwise-identical to the plain leapfrog.
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -53,16 +52,13 @@ import (
 // typical substeps reuse the tree.
 const driftFrac = 0.25
 
-// blockEval is one rank's record of one substep force evaluation, kept so
-// the driver can fold the per-evaluation stats and block diagnostics into
-// the metrics stream after the lockstep advance returns.
+// blockEval describes one block-timestep force evaluation for the metrics
+// stream and the step summary. Every field is globally agreed.
 type blockEval struct {
-	stats    RankStats
-	boundary int   // substep barrier the evaluation ran at (1..S; 0 = priming)
-	activeN  int   // global active-particle count (0 when MaxRungs == 0)
-	totalN   int   // global particle count (0 when MaxRungs == 0)
-	rungPop  []int // global rung population after the barrier's rung update
-	rebuilt  bool  // full tree rebuild (vs multipole refresh on the reused tree)
+	boundary int  // substep barrier the evaluation ran at (1..S; 0 = priming)
+	activeN  int  // global active-particle count (0 when MaxRungs == 0)
+	totalN   int  // global particle count (0 when MaxRungs == 0)
+	rebuilt  bool // full tree rebuild (vs multipole refresh on the reused tree)
 }
 
 // activeAt reports whether a particle on the given rung has a kick barrier
@@ -207,19 +203,19 @@ func (r *rank) rebuildVote() bool {
 // blockForces runs one substep force evaluation at the given barrier:
 // rebuild or refresh the tree, determine the active block, and walk gravity
 // for the active targets only (the full tree-ordered arrays when everyone is
-// active). Returns whether the tree was rebuilt and the global active/total
-// counts. On return r.acc/r.pot are fresh for every active particle;
+// active). On return r.acc/r.pot are fresh for every active particle;
 // inactive entries are unspecified (their stored accelerations are never
 // used for kicks — each kick reads an acceleration computed at that same
 // barrier).
-func (r *rank) blockForces(step, eval int, domainUpdate, forceRebuild bool, boundary int) (rebuilt bool, activeN, totalN int) {
+func (r *rank) blockForces(step, eval int, domainUpdate, forceRebuild bool, boundary int) blockEval {
 	r.stats = RankStats{}
 	r.eval = eval
 	t0 := time.Now()
 	S := 1 << r.cfg.MaxRungs
 
-	rebuilt = forceRebuild || domainUpdate || r.cfg.MaxRungs == 0 || r.rebuildVote()
-	if rebuilt {
+	be := blockEval{boundary: boundary}
+	be.rebuilt = forceRebuild || domainUpdate || r.cfg.MaxRungs == 0 || r.rebuildVote()
+	if be.rebuilt {
 		r.buildPipeline(step, eval, domainUpdate)
 		if r.cfg.MaxRungs > 0 {
 			r.trackBuild()
@@ -244,8 +240,8 @@ func (r *rank) blockForces(step, eval int, domainUpdate, forceRebuild bool, boun
 
 	// Path choice from the shared rung population: every rank agrees, so the
 	// collective structure of the gravity phase stays symmetric.
-	activeN, totalN = r.globalActive(boundary, S)
-	if full := totalN == 0 || activeN == totalN; full {
+	be.activeN, be.totalN = r.globalActive(boundary, S)
+	if full := be.totalN == 0 || be.activeN == be.totalN; full {
 		t := r.fullTargets()
 		r.gravity(eval%2, &t)
 		r.finishForces(&t)
@@ -276,7 +272,7 @@ func (r *rank) blockForces(step, eval int, domainUpdate, forceRebuild bool, boun
 	r.stats.Times.Total = time.Since(t0)
 	r.stats.Times.DeriveOther()
 	r.stats.NLocal = len(r.parts)
-	return rebuilt, activeN, totalN
+	return be
 }
 
 // subsetForces walks gravity for the active block only: gather the active
@@ -333,132 +329,98 @@ func (r *rank) subsetForces(eval int) {
 	}
 }
 
-// recordBlockEval appends the evaluation just run to the step's record and
-// folds its stats into the step accumulators.
-func (r *rank) recordBlockEval(boundary int, rebuilt bool, activeN, totalN int) {
-	be := blockEval{stats: r.stats, boundary: boundary, activeN: activeN, totalN: totalN, rebuilt: rebuilt}
-	if r.cfg.MaxRungs > 0 && r.rungPop != nil {
-		be.rungPop = make([]int, len(r.rungPop))
-		for k, n := range r.rungPop {
-			be.rungPop[k] = int(n)
-		}
-	}
-	r.blockEvals = append(r.blockEvals, be)
-	r.stepAccum.add(r.stats)
-	r.stepSub++
-	if rebuilt {
-		r.stepReb++
-	}
-	r.stepActive += float64(activeN)
-	r.stepTotal += float64(totalN)
-}
-
 // blockPrime runs the priming evaluation at the current barrier, in lockstep
 // with every other rank: accelerations for the first opening kicks, from
 // which fresh starts assign initial rungs (restored runs keep the snapshot's
-// rungs). It records one evaluation in blockEvals.
-func (r *rank) blockPrime(step, eval int) {
-	r.blockEvals = r.blockEvals[:0]
-	// Domain update only at top of a domain-epoch step — mirroring the
-	// global path's schedule.
-	domain := r.sub == 0 && step%r.cfg.DomainFreq == 0
+// rungs). domain selects the priming evaluation's domain update.
+func (r *rank) blockPrime(step, eval int, domain bool) blockEval {
 	if r.restored {
 		r.reduceRungPop() // snapshot rungs drive the priming active set
 	}
-	rebuilt, activeN, totalN := r.blockForces(step, eval, domain, true, r.sub)
+	be := r.blockForces(step, eval, domain, true, r.sub)
 	if !r.restored && r.cfg.MaxRungs > 0 {
 		r.assignRungs()
 	}
 	r.restored = false
-	r.primedStep = true // suppress this step's own domain epoch (already paid)
 	if r.cfg.MaxRungs > 0 {
 		r.reduceRungPop()
 	}
-	r.recordBlockEval(r.sub, rebuilt, activeN, totalN)
+	return be
 }
 
-// blockAdvance advances this rank through substeps in lockstep with every
-// other rank: up to maxB occupied barriers when maxB > 0, the rest of the
-// top-level step otherwise. The priming evaluation (blockPrime) must have
-// run. Returns true when the top-of-step barrier was crossed, leaving
-// sub == 0.
-func (r *rank) blockAdvance(step, evalBase int, maxB int) bool {
+// blockSubstep advances this rank to the next occupied barrier in lockstep
+// with every other rank: opening kicks, the synchronized drift, forces at the
+// new barrier, closing kicks and the rung update. The priming evaluation
+// (blockPrime) must have run. epoch reports whether the step still owes its
+// domain update, which the evaluation at the top-of-step barrier pays. The
+// returned boundary is 2^MaxRungs when the top-of-step barrier was crossed,
+// which leaves sub == 0.
+func (r *rank) blockSubstep(step, eval int, epoch bool) blockEval {
 	S := 1 << r.cfg.MaxRungs
 	h := r.cfg.DT / float64(S)
-	eval := evalBase
-	r.blockEvals = r.blockEvals[:0]
+	s := r.sub
+	tSub := time.Now()
 
-	for b := 0; maxB <= 0 || b < maxB; b++ {
-		s := r.sub
-		tSub := time.Now()
-
-		// Opening half-kicks for the block active at s, with the
-		// accelerations the evaluation at s produced for exactly that block.
-		tI := time.Now()
-		for i := range r.parts {
-			if activeAt(r.parts[i].Rung, s, S) {
-				dti := float64(S>>r.parts[i].Rung) * h / 2
-				r.parts[i].Vel = r.parts[i].Vel.Add(r.acc[i].Scale(dti))
-			}
+	// Opening half-kicks for the block active at s, with the
+	// accelerations the evaluation at s produced for exactly that block.
+	tI := time.Now()
+	for i := range r.parts {
+		if activeAt(r.parts[i].Rung, s, S) {
+			dti := float64(S>>r.parts[i].Rung) * h / 2
+			r.parts[i].Vel = r.parts[i].Vel.Add(r.acc[i].Scale(dti))
 		}
-
-		// Synchronized drift of EVERY particle to the next occupied barrier
-		// (exact: drift velocity is constant between a particle's kicks).
-		next := r.nextBoundary(S)
-		dtd := float64(next-s) * h
-		for i := range r.parts {
-			r.parts[i].Pos = r.parts[i].Pos.Add(r.parts[i].Vel.Scale(dtd))
-		}
-		if r.cfg.MaxRungs > 0 {
-			// Keep the tree's position view current and account the drift
-			// against the reuse bound.
-			for i := range r.parts {
-				p := r.parts[i].Pos
-				r.pos[i] = p
-				if d := p.Sub(r.buildPos[i]).Norm2(); d > r.maxDrift2 {
-					r.maxDrift2 = d
-				}
-			}
-		}
-		r.obs.Span(eval, obs.PhaseIntegrate, obs.LaneCompute, 0, tI, time.Now(), 0)
-
-		// Forces at the new barrier. Top-of-step barriers force a rebuild and
-		// carry the step's domain epoch — the block analog of the global
-		// path's post-drift evaluation, including its "skip when the priming
-		// evaluation already decomposed this step" rule, which the bitwise
-		// equivalence at MaxRungs == 0 depends on.
-		domain := next == S && step%r.cfg.DomainFreq == 0 && !r.primedStep
-		rebuilt, activeN, totalN := r.blockForces(step, eval, domain, next == S, next)
-
-		// Closing half-kicks for the block active at next (recomputed inside
-		// blockForces, after any rebuild or exchange).
-		tC := time.Now()
-		for i := range r.parts {
-			if activeAt(r.parts[i].Rung, next, S) {
-				dti := float64(S>>r.parts[i].Rung) * h / 2
-				r.parts[i].Vel = r.parts[i].Vel.Add(r.acc[i].Scale(dti))
-			}
-		}
-		r.obs.Span(eval, obs.PhaseIntegrate, obs.LaneCompute, 0, tC, time.Now(), 1)
-
-		// Rung updates happen at a particle's own barriers only, then the
-		// population is re-reduced so every rank agrees on the next barrier.
-		if r.cfg.MaxRungs > 0 {
-			r.updateRungs(next, S)
-			r.reduceRungPop()
-		}
-		r.obs.Span(eval, obs.PhaseSubstep, obs.LaneCompute, 0, tSub, time.Now(), int64(next))
-		r.recordBlockEval(next, rebuilt, activeN, totalN)
-		eval++
-
-		if next == S {
-			r.sub = 0
-			r.primedStep = false
-			return true
-		}
-		r.sub = next
 	}
-	return false
+
+	// Synchronized drift of EVERY particle to the next occupied barrier
+	// (exact: drift velocity is constant between a particle's kicks).
+	next := r.nextBoundary(S)
+	dtd := float64(next-s) * h
+	for i := range r.parts {
+		r.parts[i].Pos = r.parts[i].Pos.Add(r.parts[i].Vel.Scale(dtd))
+	}
+	if r.cfg.MaxRungs > 0 {
+		// Keep the tree's position view current and account the drift
+		// against the reuse bound.
+		for i := range r.parts {
+			p := r.parts[i].Pos
+			r.pos[i] = p
+			if d := p.Sub(r.buildPos[i]).Norm2(); d > r.maxDrift2 {
+				r.maxDrift2 = d
+			}
+		}
+	}
+	r.obs.Span(eval, obs.PhaseIntegrate, obs.LaneCompute, 0, tI, time.Now(), 0)
+
+	// Forces at the new barrier. Top-of-step barriers force a rebuild and
+	// carry the step's domain epoch — the block analog of the global
+	// path's post-drift evaluation, including its "skip when the priming
+	// evaluation already decomposed this step" rule, which the bitwise
+	// equivalence at MaxRungs == 0 depends on.
+	be := r.blockForces(step, eval, next == S && epoch, next == S, next)
+
+	// Closing half-kicks for the block active at next (recomputed inside
+	// blockForces, after any rebuild or exchange).
+	tC := time.Now()
+	for i := range r.parts {
+		if activeAt(r.parts[i].Rung, next, S) {
+			dti := float64(S>>r.parts[i].Rung) * h / 2
+			r.parts[i].Vel = r.parts[i].Vel.Add(r.acc[i].Scale(dti))
+		}
+	}
+	r.obs.Span(eval, obs.PhaseIntegrate, obs.LaneCompute, 0, tC, time.Now(), 1)
+
+	// Rung updates happen at a particle's own barriers only, then the
+	// population is re-reduced so every rank agrees on the next barrier.
+	if r.cfg.MaxRungs > 0 {
+		r.updateRungs(next, S)
+		r.reduceRungPop()
+	}
+	r.obs.Span(eval, obs.PhaseSubstep, obs.LaneCompute, 0, tSub, time.Now(), int64(next))
+	if next == S {
+		next = 0
+	}
+	r.sub = next
+	return be
 }
 
 // clampRungs bounds restored rung bytes to the configured hierarchy (a
@@ -486,175 +448,4 @@ func (a *RankStats) add(b RankStats) {
 		a.WorstArrival = b.WorstArrival
 	}
 	a.ArrivalsSeen += b.ArrivalsSeen
-}
-
-// resetBlockStep clears the per-step block accumulators.
-func (r *rank) resetBlockStep() {
-	r.stepAccum = RankStats{}
-	r.stepSub, r.stepReb = 0, 0
-	r.stepActive, r.stepTotal = 0, 0
-}
-
-// --- Simulation driver -----------------------------------------------------
-
-// stepBlock is Step's block-timestep path: run every remaining substep of
-// the top-level step in lockstep across the in-process ranks, then fold the
-// per-evaluation records into the metrics stream and the step aggregate.
-func (s *Simulation) stepBlock() StepStats {
-	s.advanceBlock(0)
-	return s.finishBlockStep()
-}
-
-// advanceBlock runs up to maxB substep advances on every rank (the rest of
-// the step when maxB <= 0), after the priming evaluation if it is still
-// due, and records their evaluations. Returns true when the top-of-step
-// barrier was crossed.
-func (s *Simulation) advanceBlock(maxB int) bool {
-	s.prime()
-	evalBase, step := s.evals, s.step
-	s.parallel(func(r *rank) { r.blockAdvance(step, evalBase, maxB) })
-	s.recordBlockEvals()
-	evs := s.ranks[0].blockEvals
-	return len(evs) > 0 && evs[len(evs)-1].boundary == 1<<s.cfg.MaxRungs
-}
-
-// recordBlockEvals folds the evaluations every rank just recorded in
-// blockEvals into the metrics stream, advances the evaluation counter, and
-// returns the per-rank stats of the last one.
-func (s *Simulation) recordBlockEvals() []RankStats {
-	var rs []RankStats
-	evs := len(s.ranks[0].blockEvals)
-	for e := 0; e < evs; e++ {
-		rs = make([]RankStats, len(s.ranks))
-		for i, r := range s.ranks {
-			rs[i] = r.blockEvals[e].stats
-		}
-		s.recordStepMetrics(s.evals+e, rs, &s.ranks[0].blockEvals[e])
-	}
-	s.evals += evs
-	return rs
-}
-
-// finishBlockStep aggregates the step's accumulated substep stats, advances
-// the clock, and clears the accumulators. Call once the top barrier is
-// crossed (Substep() == 0).
-func (s *Simulation) finishBlockStep() StepStats {
-	rs := make([]RankStats, len(s.ranks))
-	for i, r := range s.ranks {
-		rs[i] = r.stepAccum
-	}
-	out := aggregate(s.step, rs)
-	r0 := s.ranks[0]
-	out.Substeps = r0.stepSub
-	out.Rebuilds = r0.stepReb
-	if r0.stepTotal > 0 {
-		out.ActiveFrac = r0.stepActive / r0.stepTotal
-	}
-	for _, r := range s.ranks {
-		r.resetBlockStep()
-	}
-	s.step++
-	s.time += s.cfg.DT
-	return out
-}
-
-// Substep returns the current substep barrier (0 at top of step). Only
-// meaningful with Config.BlockSteps.
-func (s *Simulation) Substep() int { return s.ranks[0].sub }
-
-// SubstepN advances n occupied substep barriers (block-timestep runs only)
-// and returns true when the advance crossed the top-of-step barrier, which
-// also completes the step and advances the clock. Exposed for restart tests
-// and substep-resolution drivers; Step() remains the normal entry point.
-func (s *Simulation) SubstepN(n int) (bool, error) {
-	if !s.cfg.BlockSteps {
-		return false, fmt.Errorf("sim: SubstepN requires Config.BlockSteps")
-	}
-	done := s.advanceBlock(n)
-	if done {
-		s.finishBlockStep()
-	}
-	return done, nil
-}
-
-// RestoreSubstep resumes a block-timestep run from a snapshot taken at a
-// substep barrier: sub is the barrier index (0 ≤ sub < 2^MaxRungs), and the
-// particles' snapshot rungs are kept (clamped to MaxRungs) instead of being
-// re-assigned by the priming evaluation. Call before the first Step,
-// SubstepN, ComputeForces or Energy, together with SetClock for the
-// step/time counters.
-func (s *Simulation) RestoreSubstep(sub int) error {
-	if !s.cfg.BlockSteps {
-		return fmt.Errorf("sim: RestoreSubstep requires Config.BlockSteps")
-	}
-	if S := 1 << s.cfg.MaxRungs; sub < 0 || sub >= S {
-		return fmt.Errorf("sim: substep %d outside [0, %d)", sub, S)
-	}
-	for _, r := range s.ranks {
-		r.sub = sub
-		r.restored = true
-		r.treeOK = false
-		r.clampRungs()
-	}
-	return nil
-}
-
-// SetClock fast-forwards the step counter and simulation time when resuming
-// from a snapshot, so the domain-epoch schedule continues from the restored
-// step instead of restarting at 0.
-func (s *Simulation) SetClock(step int, time float64) {
-	s.step = step
-	s.time = time
-}
-
-// --- Node driver -----------------------------------------------------------
-
-// stepBlock is Node.Step's block-timestep path: the same substep sequence as
-// Simulation.stepBlock, driven from this rank alone (the collectives inside
-// keep the world in lockstep). Returns the step-summed stats of this rank.
-func (n *Node) stepBlock() RankStats {
-	n.prime()
-	r := n.r
-	r.blockAdvance(n.step, n.evals, 0)
-	n.recordBlockEvals()
-	out := r.stepAccum
-	n.lastSub, n.lastReb = r.stepSub, r.stepReb
-	n.lastActiveFrac = 0
-	if r.stepTotal > 0 {
-		n.lastActiveFrac = r.stepActive / r.stepTotal
-	}
-	r.resetBlockStep()
-	n.step++
-	n.time += n.cfg.DT
-	return out
-}
-
-// recordBlockEvals folds the evaluations this rank just recorded in
-// blockEvals into the metrics stream and advances the evaluation counter.
-func (n *Node) recordBlockEvals() {
-	r := n.r
-	for e := range r.blockEvals {
-		n.recordStepMetrics(n.evals+e, r.blockEvals[e].stats, &r.blockEvals[e])
-	}
-	n.evals += len(r.blockEvals)
-}
-
-// Substep returns the current substep barrier (0 at top of step).
-func (n *Node) Substep() int { return n.r.sub }
-
-// RestoreSubstep resumes this rank from a snapshot taken at a substep
-// barrier — the Node counterpart of Simulation.RestoreSubstep (collective:
-// every rank of the world must restore the same barrier).
-func (n *Node) RestoreSubstep(sub int) error {
-	if !n.cfg.BlockSteps {
-		return fmt.Errorf("sim: RestoreSubstep requires Config.BlockSteps")
-	}
-	if S := 1 << n.cfg.MaxRungs; sub < 0 || sub >= S {
-		return fmt.Errorf("sim: substep %d outside [0, %d)", sub, S)
-	}
-	n.r.sub = sub
-	n.r.restored = true
-	n.r.treeOK = false
-	n.r.clampRungs()
-	return nil
 }

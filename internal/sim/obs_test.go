@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -62,8 +64,8 @@ func TestPhaseRowsSumToTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Step()
-	for i, r := range s.ranks {
-		p := r.stats.Times
+	for i, n := range s.nodes {
+		p := n.r.stats.Times
 		sum := p.Accounted() + p.Other
 		if p.Other < 0 {
 			t.Errorf("rank %d: negative Other %v", i, p.Other)
@@ -243,5 +245,89 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 	}
 	if rms := math.Sqrt(sum2 / ref2); rms > 1e-9 {
 		t.Errorf("8-rank traced run diverged from untraced: rms %v", rms)
+	}
+}
+
+// TestDriversEmitOneSchema: a traced block-timestep run in-process and the
+// same run as 4 Nodes over unix sockets, each Node with its own recorder,
+// write per-rank records that merge into the same per-evaluation records.
+// SerialLET keeps both trajectories bitwise equal, so the globally agreed
+// block fields must match exactly. A ComputeForces walk rate must equal its
+// merged record's, in-process and across the Nodes.
+func TestDriversEmitOneSchema(t *testing.T) {
+	const ranks = 4
+	parts := concentrated(1200, 75)
+	cfg := Config{
+		Ranks: ranks, Theta: 0.5, Eps: 0.01, DT: 4e-3, DomainFreq: 2,
+		SerialLET: true, BlockSteps: true, MaxRungs: 2,
+	}
+	sameRate := func(label string, stats, record float64) {
+		t.Helper()
+		if stats <= 0 || math.Abs(stats-record) > 1e-9*stats {
+			t.Errorf("%s: ComputeForces walk rate %v Gflop/s, merged record %v", label, stats, record)
+		}
+	}
+
+	in := cfg
+	in.Obs = obs.New(ranks, 0)
+	s, err := New(in, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(3)
+	st := s.ComputeForces()
+	want := in.Obs.Steps()
+	sameRate("in-process", st.WalkGflops, want[len(want)-1].WalkGflops)
+
+	w := newTestSockWorld(t, "unix", ranks)
+	recs := make([]*obs.Recorder, ranks)
+	nodes := make([]*Node, ranks)
+	for r := range nodes {
+		c := cfg
+		recs[r] = obs.New(ranks, 0)
+		c.Obs = recs[r]
+		if nodes[r], err = NewNode(c, w, r, SliceForRank(parts, r, ranks)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs := make([]RankStats, ranks)
+	var wg sync.WaitGroup
+	for r, n := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				n.Step()
+			}
+			rs[r] = n.ComputeForces()
+		}()
+	}
+	wg.Wait()
+	exactlyEqual(t, gatherAll(nodes), s.Particles(), "nodes vs in-process")
+	var perRank []obs.StepMetrics
+	for _, rec := range recs {
+		perRank = append(perRank, rec.Steps()...)
+	}
+	got := obs.MergeStepMetrics(perRank)
+	sameRate("nodes", Aggregate(3, rs).WalkGflops, got[len(got)-1].WalkGflops)
+
+	if len(got) != len(want) {
+		t.Fatalf("nodes merge to %d records, in-process run has %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Step != w.Step || g.Ranks != w.Ranks || g.N != w.N || g.Substep != w.Substep ||
+			g.TreeRebuilt != w.TreeRebuilt || g.ActiveN != w.ActiveN || !slices.Equal(g.RungPop, w.RungPop) {
+			t.Errorf("record %d: nodes %+v\nin-process %+v", i, g, w)
+		}
+	}
+	mid := 0
+	for _, m := range want {
+		if m.Substep > 0 && m.Substep < 1<<cfg.MaxRungs {
+			mid++
+		}
+	}
+	if mid == 0 {
+		t.Errorf("no evaluation at a mid-step barrier in %d: the rungs never spread", len(want))
 	}
 }

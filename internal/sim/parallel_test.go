@@ -129,7 +129,7 @@ func TestSteadyStateTreePhasesAllocFree(t *testing.T) {
 	}
 	s.Run(3) // warm every per-step buffer, including post-exchange sizes
 
-	r := s.ranks[0]
+	r := s.nodes[0].r
 	if a := testing.AllocsPerRun(5, func() {
 		r.sortBuild()
 		r.tree.ComputePropertiesParallel(r.cfg.WorkersPerRank)

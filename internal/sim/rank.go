@@ -79,13 +79,6 @@ type rank struct {
 	maxDrift2  float64
 	treeOK     bool
 	restored   bool // rungs/substep restored from a snapshot: skip the priming rung assignment
-	primedStep bool // the current top-level step ran a priming evaluation
-	blockEvals []blockEval
-	stepAccum  RankStats
-	stepSub    int // substep evaluations accumulated into stepAccum
-	stepReb    int // tree rebuilds accumulated into stepAccum
-	stepActive float64
-	stepTotal  float64
 	active     []int32
 	apos       []vec.V3
 	amass      []float64
@@ -119,9 +112,9 @@ const (
 // stepForces runs the full force pipeline for one step and leaves
 // accelerations/potentials in r.acc/r.pot (aligned with r.parts).
 // domainUpdate selects whether this evaluation re-decomposes and exchanges
-// particles; the caller (the Simulation) owns the domain-epoch schedule so
-// that the t=0 priming evaluation and the first post-drift evaluation do not
-// both pay for a decomposition in the same step. eval is the global force-
+// particles; the caller (the Node) owns the domain-epoch schedule so that
+// the t=0 priming evaluation and the first post-drift evaluation do not both
+// pay for a decomposition in the same step. eval is the global force-
 // evaluation sequence number, used only to tag trace spans (a step can run
 // two evaluations when it primes t=0 accelerations).
 func (r *rank) stepForces(step, eval int, domainUpdate bool) {

@@ -1,6 +1,12 @@
 // Package sim is the parallel gravitational tree-code: the paper's Bonsai
-// pipeline running over the in-process message-passing runtime, one
-// simulated GPU-equipped node per rank.
+// pipeline over the message-passing runtime, one simulated GPU-equipped
+// node per rank.
+//
+// Node is the one step driver. It runs one rank over any mpi.World: a
+// worker process of a socket run creates one Node, and Simulation, the
+// in-process run, is a chan world plus one Node per rank making the same
+// calls concurrently. Every rank calls the same Node methods in lockstep
+// and the collectives keep the world synchronized.
 //
 // Every step each rank executes, with phase timers matching Table II:
 //
@@ -34,10 +40,8 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"bonsai/internal/body"
-	"bonsai/internal/domain"
 	"bonsai/internal/mpi"
 	"bonsai/internal/obs"
 	"bonsai/internal/vec"
@@ -116,9 +120,9 @@ type Config struct {
 	// records phase spans and gravity-pipeline events (LET build/send/
 	// recv/walk, arrivals vs local-walk completion) into the recorder's
 	// preallocated per-rank buffers, the MPI layer meters queue depth and
-	// per-pair bytes, and a per-evaluation metrics record is appended after
-	// every force computation. The recorder must have been created for
-	// exactly Ranks ranks. nil (the default) disables all of it at the
+	// per-pair bytes, and every rank appends its metrics record after every
+	// force evaluation (Recorder.Steps folds them per evaluation). The
+	// recorder must have been created for exactly Ranks ranks. nil (the default) disables all of it at the
 	// cost of a single branch per record point; results are unaffected
 	// either way.
 	Obs *obs.Recorder
@@ -184,8 +188,8 @@ func (c Config) withDefaults() Config {
 
 // Validate rejects configurations that would silently simulate garbage:
 // non-finite or negative values of the numeric tunables (zero means "use the
-// default" and stays legal), and out-of-range rung caps. New and NewNode call
-// it before filling defaults.
+// default" and stays legal), and out-of-range rung caps. NewNode calls it
+// before filling defaults.
 func (c Config) Validate() error {
 	check := func(name string, v float64) error {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -210,226 +214,91 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Simulation is a running N-body system distributed over simulated ranks.
+// Simulation is an in-process run: one chan-transport world and one Node
+// per rank. Every method that advances time calls the same Node method on
+// all ranks concurrently, so in-process runs execute exactly the code the
+// socket workers run; the rest gathers the ranks' state directly.
 type Simulation struct {
-	cfg   Config
 	world *mpi.World
-	ranks []*rank
-	step  int
-	evals int // completed force evaluations (tracing sequence number)
-	time  float64
-	first bool // the t=0 priming evaluation is still due
-	// primed: the priming evaluation ran this step's domain epoch, so the
-	// step's post-drift evaluation skips it (global-dt path only).
-	primed bool
+	nodes []*Node
+	// observed counts the merged metrics records whose rank imbalance has
+	// been fed to the imbalance histogram.
+	observed int
 }
 
-// New distributes the particles over cfg.Ranks simulated processes. The
-// initial placement is an arbitrary even split; the first step's domain
+// New distributes the particles over cfg.Ranks in-process ranks. The
+// initial placement is an even split (SliceForRank); the first step's domain
 // update moves every particle to its Hilbert-order owner.
 func New(cfg Config, parts []body.Particle) (*Simulation, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("sim: no particles")
 	}
-	if cfg.Ranks > len(parts) {
-		return nil, fmt.Errorf("sim: %d ranks for %d particles", cfg.Ranks, len(parts))
+	ranks := cfg.withDefaults().Ranks
+	if ranks > len(parts) {
+		return nil, fmt.Errorf("sim: %d ranks for %d particles", ranks, len(parts))
 	}
-	for i := range parts {
-		if !parts[i].Pos.IsFinite() || !parts[i].Vel.IsFinite() ||
-			math.IsNaN(parts[i].Mass) || math.IsInf(parts[i].Mass, 0) || parts[i].Mass < 0 {
-			return nil, fmt.Errorf("sim: particle %d (id %d) has non-finite or negative state", i, parts[i].ID)
+	s := &Simulation{world: mpi.NewWorld(ranks)}
+	for r := 0; r < ranks; r++ {
+		n, err := NewNode(cfg, s.world, r, SliceForRank(parts, r, ranks))
+		if err != nil {
+			return nil, err
 		}
-	}
-	if cfg.Obs != nil && cfg.Obs.Ranks() != cfg.Ranks {
-		return nil, fmt.Errorf("sim: obs recorder built for %d ranks, simulation has %d",
-			cfg.Obs.Ranks(), cfg.Ranks)
-	}
-	s := &Simulation{
-		cfg:   cfg,
-		world: mpi.NewWorld(cfg.Ranks),
-		first: true,
+		s.nodes = append(s.nodes, n)
 	}
 	if cfg.Obs != nil {
 		s.world.EnableObs(cfg.Obs.Metrics().QueueDepthHist())
 		s.world.ObserveFrameBytes(cfg.Obs.Metrics().FrameBytesHist())
 	}
-	for r := 0; r < cfg.Ranks; r++ {
-		lo := r * len(parts) / cfg.Ranks
-		hi := (r + 1) * len(parts) / cfg.Ranks
-		local := make([]body.Particle, hi-lo)
-		copy(local, parts[lo:hi])
-		s.ranks = append(s.ranks, &rank{
-			cfg:   &s.cfg,
-			comm:  s.world.Comm(r),
-			parts: local,
-			dec:   domain.Uniform(cfg.Ranks),
-			obs:   cfg.Obs.Rank(r),
-			met:   cfg.Obs.Metrics(),
-		})
-	}
 	return s, nil
 }
 
+// each calls fn on every node concurrently and waits — the in-process
+// stand-in for p processes making the same collective call — then feeds the
+// rank-imbalance histogram from the evaluations the call completed.
+func (s *Simulation) each(fn func(i int, n *Node)) {
+	var wg sync.WaitGroup
+	for i, n := range s.nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i, n)
+		}()
+	}
+	wg.Wait()
+	if rec := s.Obs(); rec != nil {
+		steps := rec.Steps()
+		for _, m := range steps[s.observed:] {
+			rec.Metrics().ImbalanceHist().Observe(int64((m.MaxStepMS - m.MeanStepMS) * 1e6))
+		}
+		s.observed = len(steps)
+	}
+}
+
 // Obs returns the tracing recorder, or nil when tracing is disabled.
-func (s *Simulation) Obs() *obs.Recorder { return s.cfg.Obs }
+func (s *Simulation) Obs() *obs.Recorder { return s.nodes[0].cfg.Obs }
 
 // Config returns the effective (default-filled) configuration.
-func (s *Simulation) Config() Config { return s.cfg }
+func (s *Simulation) Config() Config { return s.nodes[0].cfg }
 
 // World exposes the message-passing runtime, for traffic accounting.
 func (s *Simulation) World() *mpi.World { return s.world }
 
 // Time returns the current simulation time.
-func (s *Simulation) Time() float64 { return s.time }
+func (s *Simulation) Time() float64 { return s.nodes[0].Time() }
 
 // StepCount returns the number of completed steps.
-func (s *Simulation) StepCount() int { return s.step }
+func (s *Simulation) StepCount() int { return s.nodes[0].StepCount() }
 
-// parallel runs fn on every rank concurrently and waits.
-func (s *Simulation) parallel(fn func(r *rank)) {
-	var wg sync.WaitGroup
-	for _, r := range s.ranks {
-		wg.Add(1)
-		go func(r *rank) {
-			defer wg.Done()
-			fn(r)
-		}(r)
-	}
-	wg.Wait()
-}
+// Substep returns the current substep barrier (0 at top of step). Only
+// meaningful with Config.BlockSteps.
+func (s *Simulation) Substep() int { return s.nodes[0].Substep() }
 
-// forces runs the distributed force pipeline on all ranks. domainUpdate
-// selects whether this evaluation re-decomposes and exchanges particles; all
-// ranks must see the same value (the decomposition is collective).
-func (s *Simulation) forces(domainUpdate bool) []RankStats {
-	eval := s.evals
-	s.evals++
-	s.parallel(func(r *rank) { r.stepForces(s.step, eval, domainUpdate) })
-	stats := make([]RankStats, len(s.ranks))
-	for i, r := range s.ranks {
-		stats[i] = r.stats
-	}
-	s.recordStepMetrics(eval, stats, nil)
-	return stats
-}
-
-// recordStepMetrics appends one per-evaluation record to the tracing
-// recorder's metrics stream and feeds the imbalance histogram. be carries
-// the block-timestep diagnostics of a substep evaluation (nil on the
-// global-dt path). No-op when tracing is disabled.
-func (s *Simulation) recordStepMetrics(eval int, rs []RankStats, be *blockEval) {
-	rec := s.cfg.Obs
-	if rec == nil {
-		return
-	}
-	agg := aggregate(eval, rs)
-	straggler := 0
-	var maxTotal time.Duration
-	arrivals := 0
-	worst := time.Duration(math.MinInt64)
-	for i := range rs {
-		if rs[i].Times.Total > maxTotal {
-			maxTotal = rs[i].Times.Total
-			straggler = i
-		}
-		if rs[i].ArrivalsSeen > 0 {
-			arrivals += rs[i].ArrivalsSeen
-			if rs[i].WorstArrival > worst {
-				worst = rs[i].WorstArrival
-			}
-		}
-	}
-	worstMS := 0.0
-	if arrivals > 0 {
-		worstMS = float64(worst) / 1e6
-	}
-	imbPct := 0.0
-	if agg.Times.Total > 0 {
-		imbPct = (float64(agg.MaxTimes.Total)/float64(agg.Times.Total) - 1) * 100
-	}
-	rec.Metrics().ImbalanceHist().Observe(int64(agg.MaxTimes.Total - agg.Times.Total))
-	m := obs.StepMetrics{
-		Step:            eval,
-		Ranks:           agg.Ranks,
-		N:               agg.N,
-		MeanStepMS:      agg.Times.Total.Seconds() * 1e3,
-		MaxStepMS:       agg.MaxTimes.Total.Seconds() * 1e3,
-		ImbalancePct:    imbPct,
-		Straggler:       straggler,
-		NonHiddenCommMS: agg.Times.NonHiddenComm.Seconds() * 1e3,
-		OverlapFrac:     agg.OverlapFrac,
-		LETsRecv:        agg.LETsRecv,
-		LETsOverlapped:  agg.LETsOverlapped,
-		ArrivalsSeen:    arrivals,
-		WorstArrivalMS:  worstMS,
-		WalkGflops:      agg.WalkGflops,
-		AppGflops:       agg.AppGflops,
-		KernelISA:       agg.KernelISA,
-		SortBuildMS:     agg.Times.SortBuild.Seconds() * 1e3,
-		DomainMS:        agg.Times.Domain.Seconds() * 1e3,
-		TreePropsMS:     agg.Times.TreeProps.Seconds() * 1e3,
-		GravLocalMS:     agg.Times.GravLocal.Seconds() * 1e3,
-		GravLETMS:       agg.Times.GravLET.Seconds() * 1e3,
-		OtherMS:         agg.Times.Other.Seconds() * 1e3,
-	}
-	if be != nil {
-		m.Substep = be.boundary
-		m.TreeRebuilt = be.rebuilt
-		if be.totalN > 0 {
-			m.ActiveN = be.activeN
-			m.ActiveFrac = float64(be.activeN) / float64(be.totalN)
-		}
-		m.RungPop = be.rungPop
-	}
-	rec.AddStep(m)
-}
-
-// domainDue reports whether the current step is a domain-update epoch.
-func (s *Simulation) domainDue() bool { return s.step%s.cfg.DomainFreq == 0 }
-
-// Step advances the system by one leapfrog step (kick-drift-kick) and
-// returns the aggregated statistics of the force computation. With
-// Config.BlockSteps the step runs as a sequence of block-timestep substeps
-// (see block.go); the returned stats then sum every substep evaluation.
+// Step advances the system by one step (Node.Step on every rank) and
+// returns the aggregated statistics of its force computation.
 func (s *Simulation) Step() StepStats {
-	if s.cfg.BlockSteps {
-		return s.stepBlock()
-	}
-	s.prime()
-	dt := s.cfg.DT
-	// Kick half + drift full (uses accelerations from the previous force
-	// evaluation, which are aligned with each rank's current particle order).
-	s.parallel(func(r *rank) {
-		t0 := time.Now()
-		for i := range r.parts {
-			r.parts[i].Vel = r.parts[i].Vel.Add(r.acc[i].Scale(dt / 2))
-			r.parts[i].Pos = r.parts[i].Pos.Add(r.parts[i].Vel.Scale(dt))
-		}
-		r.obs.Span(s.evals, obs.PhaseIntegrate, obs.LaneCompute, 0, t0, time.Now(), 0)
-	})
-	// New forces at t+dt. If the t=0 priming evaluation just ran the
-	// domain update, positions have only drifted within the same step, so
-	// the decomposition is still fresh: skip the second update (the seed
-	// code re-decomposed and re-exchanged every particle twice at step 0).
-	rs := s.forces(s.domainDue() && !s.primed)
-	s.primed = false
-	// Kick half. The span is tagged with the evaluation whose accelerations
-	// it applies (the one that just ran), so traces never mint an evaluation
-	// ID that has no force phase.
-	s.parallel(func(r *rank) {
-		t0 := time.Now()
-		for i := range r.parts {
-			r.parts[i].Vel = r.parts[i].Vel.Add(r.acc[i].Scale(dt / 2))
-		}
-		r.obs.Span(s.evals-1, obs.PhaseIntegrate, obs.LaneCompute, 0, t0, time.Now(), 1)
-	})
-	s.step++
-	s.time += dt
-	return aggregate(s.step, rs)
+	rs := make([]RankStats, len(s.nodes))
+	s.each(func(i int, n *Node) { rs[i] = n.Step() })
+	return aggregate(s.StepCount(), rs)
 }
 
 // Run advances n steps and returns the per-step statistics.
@@ -441,48 +310,62 @@ func (s *Simulation) Run(n int) []StepStats {
 	return out
 }
 
-// prime runs the t=0 priming force evaluation if it is still due: Step,
-// ComputeForces and Energy all need accelerations and potentials to exist.
-// It carries the current step's domain epoch, which the step's own
-// post-drift evaluation then skips. Returns the priming evaluation's
-// per-rank stats, or nil when it had already run.
-func (s *Simulation) prime() []RankStats {
-	if !s.first {
-		return nil
-	}
-	s.first = false
-	if s.cfg.BlockSteps {
-		evalBase, step := s.evals, s.step
-		s.parallel(func(r *rank) { r.blockPrime(step, evalBase) })
-		return s.recordBlockEvals()
-	}
-	s.primed = true
-	return s.forces(s.domainDue())
+// ComputeForces runs the force pipeline once without advancing time (see
+// Node.ComputeForces) and returns the aggregated statistics.
+func (s *Simulation) ComputeForces() StepStats {
+	rs := make([]RankStats, len(s.nodes))
+	s.each(func(i int, n *Node) { rs[i] = n.ComputeForces() })
+	return aggregate(s.StepCount(), rs)
 }
 
-// ComputeForces runs the force pipeline once without advancing time. Useful
-// for scaling measurements (the paper's benchmarks time force iterations):
-// every call runs the full pipeline, including the domain update when the
-// current step is an update epoch. The first call is the priming evaluation
-// a following Step would otherwise run.
-func (s *Simulation) ComputeForces() StepStats {
-	if rs := s.prime(); rs != nil {
-		return aggregate(s.step, rs)
+// SubstepN advances k occupied substep barriers (see Node.SubstepN).
+func (s *Simulation) SubstepN(k int) (done bool, err error) {
+	s.each(func(i int, n *Node) {
+		if d, e := n.SubstepN(k); i == 0 {
+			done, err = d, e
+		}
+	})
+	return done, err
+}
+
+// RestoreSubstep resumes a block-timestep run from a snapshot taken at a
+// substep barrier (see Node.RestoreSubstep).
+func (s *Simulation) RestoreSubstep(sub int) (err error) {
+	s.each(func(i int, n *Node) {
+		if e := n.RestoreSubstep(sub); i == 0 {
+			err = e
+		}
+	})
+	return err
+}
+
+// SetClock fast-forwards the step counter and simulation time when resuming
+// from a snapshot, so the domain-epoch schedule continues from the restored
+// step instead of restarting at 0.
+func (s *Simulation) SetClock(step int, time float64) {
+	s.each(func(_ int, n *Node) { n.SetClock(step, time) })
+}
+
+// Energy returns the total kinetic and potential energy from the most recent
+// force evaluation; before the first step it runs the priming evaluation,
+// so it reports the initial state. It sums the ranks' shares in rank order
+// without the allreduce Node.Energy sends, so asking for it leaves the
+// run's traffic unchanged.
+func (s *Simulation) Energy() (kin, pot float64) {
+	s.each(func(_ int, n *Node) { n.prime() })
+	for _, n := range s.nodes {
+		k, p := n.localEnergy()
+		kin += k
+		pot += p
 	}
-	rs := s.forces(s.domainDue())
-	if s.cfg.BlockSteps && s.cfg.MaxRungs > 0 {
-		// The full rebuild reordered (and may have exchanged) the particles:
-		// re-anchor the tree-reuse drift bound to the new tree.
-		s.parallel(func(r *rank) { r.trackBuild() })
-	}
-	return aggregate(s.step, rs)
+	return kin, pot
 }
 
 // Particles gathers all particles, sorted by ID, with their current state.
 func (s *Simulation) Particles() []body.Particle {
 	var all []body.Particle
-	for _, r := range s.ranks {
-		all = append(all, r.parts...)
+	for _, n := range s.nodes {
+		all = append(all, n.r.parts...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
 	return all
@@ -499,7 +382,8 @@ func (s *Simulation) Accelerations() ([]vec.V3, []float64) {
 		pot float64
 	}
 	var all []rec
-	for _, r := range s.ranks {
+	for _, n := range s.nodes {
+		r := n.r
 		ext := len(r.extPot) == len(r.parts) && len(r.extPot) > 0
 		for i := range r.parts {
 			p := r.pot[i]
@@ -519,32 +403,12 @@ func (s *Simulation) Accelerations() ([]vec.V3, []float64) {
 	return acc, pot
 }
 
-// Energy returns the total kinetic and potential energy from the most recent
-// force evaluation; before the first step it runs the priming evaluation,
-// so it reports the initial state. The pairwise self-gravity potential is
-// halved (each pair is counted twice by the per-particle sums); the
-// external-field potential, if any, enters at full weight.
-func (s *Simulation) Energy() (kin, pot float64) {
-	s.prime()
-	for _, r := range s.ranks {
-		ext := len(r.extPot) == len(r.parts) && len(r.extPot) > 0
-		for i := range r.parts {
-			kin += 0.5 * r.parts[i].Mass * r.parts[i].Vel.Norm2()
-			pot += 0.5 * r.parts[i].Mass * r.pot[i]
-			if ext {
-				pot += r.parts[i].Mass * r.extPot[i]
-			}
-		}
-	}
-	return kin, pot
-}
-
 // Momentum returns the total linear momentum.
 func (s *Simulation) Momentum() vec.V3 {
 	var p vec.V3
-	for _, r := range s.ranks {
-		for i := range r.parts {
-			p = p.Add(r.parts[i].Vel.Scale(r.parts[i].Mass))
+	for _, n := range s.nodes {
+		for _, q := range n.r.parts {
+			p = p.Add(q.Vel.Scale(q.Mass))
 		}
 	}
 	return p
@@ -558,9 +422,9 @@ func (s *Simulation) Owners() []int {
 		rank int
 	}
 	var all []rec
-	for ri, r := range s.ranks {
-		for i := range r.parts {
-			all = append(all, rec{r.parts[i].ID, ri})
+	for ri, n := range s.nodes {
+		for _, q := range n.r.parts {
+			all = append(all, rec{q.ID, ri})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
@@ -574,9 +438,9 @@ func (s *Simulation) Owners() []int {
 // RankCounts returns the current particle count per rank (load balance
 // diagnostics).
 func (s *Simulation) RankCounts() []int {
-	out := make([]int, len(s.ranks))
-	for i, r := range s.ranks {
-		out[i] = len(r.parts)
+	out := make([]int, len(s.nodes))
+	for i, n := range s.nodes {
+		out[i] = len(n.r.parts)
 	}
 	return out
 }

@@ -421,8 +421,8 @@ func TestSnapLevelKeepsPhysicsAndAlignment(t *testing.T) {
 	if len(s.Particles()) != 3000 {
 		t.Error("particles lost under snapping")
 	}
-	for _, r := range s.ranks {
-		if !r.dec.AlignedToLevel(9) {
+	for _, n := range s.nodes {
+		if !n.r.dec.AlignedToLevel(9) {
 			t.Error("decomposition not aligned after snapping")
 		}
 	}

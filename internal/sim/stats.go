@@ -86,6 +86,15 @@ type RankStats struct {
 	// arrivals it was measured over.
 	WorstArrival time.Duration
 	ArrivalsSeen int
+
+	// Block-timestep summary of a step (Config.BlockSteps; zero in the
+	// stats of a single evaluation): substep force evaluations, full tree
+	// rebuilds among them, and the global active and total particle counts
+	// summed over them. Every rank holds the same allreduced values.
+	Substeps  int
+	Rebuilds  int
+	ActiveSum int
+	TotalSum  int
 }
 
 // WalkGflops returns this rank's effective gravity-walk rate in Gflop/s
@@ -144,25 +153,28 @@ type StepStats struct {
 	// "scalar" otherwise) so recorded rates can be attributed to a kernel.
 	KernelISA string
 
-	// Block-timestep summary, populated only on Config.BlockSteps steps:
-	// substep force evaluations the step ran, full tree rebuilds among them
-	// (the rest reused the tree with refreshed multipoles), and the mean
-	// fraction of particles active per evaluation (1 on global-dt-equivalent
-	// runs with MaxRungs == 0, where the fields stay zero).
+	// Block-timestep summary, populated only on Config.BlockSteps steps
+	// (from RankStats, identical on every rank): substep force evaluations
+	// the step ran, full tree rebuilds among them (the rest reused the tree
+	// with refreshed multipoles), and the mean fraction of particles active
+	// per evaluation (0 with MaxRungs == 0, where every particle is always
+	// active and no rung population is counted).
 	Substeps   int
 	Rebuilds   int
 	ActiveFrac float64
 }
 
-// Aggregate combines per-rank stats into a StepStats; external drivers (the
-// facade's multi-process Node runs) use it to fold the stats a rank reports
-// into the same summary shape Simulation produces.
+// Aggregate combines per-rank stats into a StepStats; the facade's
+// multi-process runs use it to fold the stats one Node reports into the
+// summary shape Simulation produces from all of them.
 func Aggregate(step int, rs []RankStats) StepStats { return aggregate(step, rs) }
 
 // aggregate combines per-rank stats into a StepStats.
 func aggregate(step int, rs []RankStats) StepStats {
 	out := StepStats{Step: step, Ranks: len(rs)}
+	walk := 0.0 // summed per-rank walk seconds
 	for i := range rs {
+		walk += (rs[i].Times.GravLocal + rs[i].Times.GravLET).Seconds()
 		out.N += rs[i].NLocal
 		out.Times.Add(rs[i].Times)
 		out.Grav.Add(rs[i].Grav)
@@ -190,9 +202,16 @@ func aggregate(step int, rs []RankStats) StepStats {
 	}
 	// Effective rates under the paper's §VI.A flop conventions: ranks walk
 	// concurrently, so the aggregate walk rate is the total flop count over
-	// the average per-rank busy time; the application rate divides by the
+	// the mean per-rank walk time (obs.MergeStepMetrics computes the same
+	// quantity from per-rank records); the application rate divides by the
 	// slowest rank's full step (the paper's own headline metric).
-	out.WalkGflops = finiteRate(out.Grav.Gflops(out.Times.GravLocal + out.Times.GravLET))
+	if len(rs) > 0 {
+		out.WalkGflops = finiteRate(out.Grav.Flops() / (walk / float64(len(rs))) / 1e9)
+		out.Substeps, out.Rebuilds = rs[0].Substeps, rs[0].Rebuilds
+		if rs[0].TotalSum > 0 {
+			out.ActiveFrac = float64(rs[0].ActiveSum) / float64(rs[0].TotalSum)
+		}
+	}
 	out.AppGflops = finiteRate(out.Grav.Gflops(out.MaxTimes.Total))
 	out.KernelISA = grav.KernelISA()
 	return out
