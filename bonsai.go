@@ -202,6 +202,7 @@ type StepStats struct {
 // Simulation is a running distributed N-body system.
 type Simulation struct {
 	inner *sim.Simulation
+	tracer
 }
 
 // New creates a simulation from the given particles.
@@ -218,7 +219,7 @@ func New(cfg Config, parts []Particle) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Simulation{inner: inner}, nil
+	return &Simulation{inner: inner, tracer: tracer{rec}}, nil
 }
 
 // Step advances the system by one kick-drift-kick leapfrog step and returns
@@ -298,38 +299,41 @@ func (s *Simulation) SetClock(step int, t float64) { s.inner.SetClock(step, t) }
 // was created without Config.Tracing.
 var ErrTracingDisabled = errors.New("bonsai: tracing not enabled (set Config.Tracing)")
 
+// tracer serves the trace exporters of Simulation (every rank's records)
+// and NodeSimulation (its own rank's) from the recorder fixed at creation,
+// nil without Config.Tracing.
+type tracer struct{ rec *obs.Recorder }
+
 // WriteChromeTrace exports the recorded span timeline in Chrome trace-event
 // JSON (load in Perfetto / chrome://tracing: one process per rank, one lane
-// per pipeline role). Requires Config.Tracing.
-func (s *Simulation) WriteChromeTrace(w io.Writer) error {
-	rec := s.inner.Obs()
-	if rec == nil {
+// per pipeline role). A NodeSimulation exports its own rank; the launcher's
+// telemetry collector merges all ranks. Requires Config.Tracing.
+func (t *tracer) WriteChromeTrace(w io.Writer) error {
+	if t.rec == nil {
 		return ErrTracingDisabled
 	}
-	return rec.WriteChromeTrace(w)
+	return t.rec.WriteChromeTrace(w)
 }
 
 // WriteMetricsJSONL exports one JSON object per force evaluation (overlap
 // fraction, straggler rank, imbalance, Gflop/s, worst LET arrival) followed
 // by the histogram snapshots. Requires Config.Tracing.
-func (s *Simulation) WriteMetricsJSONL(w io.Writer) error {
-	rec := s.inner.Obs()
-	if rec == nil {
+func (t *tracer) WriteMetricsJSONL(w io.Writer) error {
+	if t.rec == nil {
 		return ErrTracingDisabled
 	}
-	return rec.WriteMetricsJSONL(w)
+	return t.rec.WriteMetricsJSONL(w)
 }
 
 // PublishExpvar exposes the live metric histograms through the expvar
 // variable "bonsai.obs" (serve with net/http's /debug/vars). Requires
 // Config.Tracing; safe to call repeatedly, and a later simulation's call
 // repoints the variable at its own recorder.
-func (s *Simulation) PublishExpvar() error {
-	rec := s.inner.Obs()
-	if rec == nil {
+func (t *tracer) PublishExpvar() error {
+	if t.rec == nil {
 		return ErrTracingDisabled
 	}
-	rec.PublishExpvar()
+	t.rec.PublishExpvar()
 	return nil
 }
 
@@ -374,6 +378,7 @@ func (w *World) CommBytes() int64 { return w.inner.TotalBytes() }
 // collective structure of the pipeline keeps them synchronized.
 type NodeSimulation struct {
 	inner *sim.Node
+	tracer
 }
 
 // NewNodeSimulation creates the driver for one rank of a multi-process run.
@@ -394,7 +399,7 @@ func NewNodeSimulation(cfg Config, w *World, rank int, parts []Particle) (*NodeS
 	if err != nil {
 		return nil, err
 	}
-	return &NodeSimulation{inner: inner}, nil
+	return &NodeSimulation{inner: inner, tracer: tracer{rec}}, nil
 }
 
 // SliceForRank cuts rank r's initial share out of a global particle set,
@@ -452,38 +457,6 @@ func (n *NodeSimulation) GatherParticles(root int) []Particle {
 // writes landed. A run killed at any point restarts from the newest committed
 // checkpoint via LatestCheckpoint/LoadRankCheckpoint.
 func (n *NodeSimulation) Checkpoint(dir string) error { return n.inner.Checkpoint(dir) }
-
-// WriteChromeTrace exports this rank's recorded span timeline as Chrome
-// trace-event JSON. For the all-rank merged view use the launcher's
-// telemetry collector instead. Requires Config.Tracing.
-func (n *NodeSimulation) WriteChromeTrace(w io.Writer) error {
-	rec := n.inner.Obs()
-	if rec == nil {
-		return ErrTracingDisabled
-	}
-	return rec.WriteChromeTrace(w)
-}
-
-// WriteMetricsJSONL exports this rank's per-evaluation metric records.
-// Requires Config.Tracing.
-func (n *NodeSimulation) WriteMetricsJSONL(w io.Writer) error {
-	rec := n.inner.Obs()
-	if rec == nil {
-		return ErrTracingDisabled
-	}
-	return rec.WriteMetricsJSONL(w)
-}
-
-// PublishExpvar exposes this rank's live metric histograms through the
-// expvar variable "bonsai.obs". Requires Config.Tracing.
-func (n *NodeSimulation) PublishExpvar() error {
-	rec := n.inner.Obs()
-	if rec == nil {
-		return ErrTracingDisabled
-	}
-	rec.PublishExpvar()
-	return nil
-}
 
 // NodeTelemetry is a worker's live telemetry endpoint: spans, step metrics,
 // histograms, Prometheus gauges, expvar, and pprof served over HTTP, plus

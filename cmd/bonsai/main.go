@@ -24,7 +24,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"runtime"
 	"time"
 
 	"bonsai"
@@ -71,6 +70,12 @@ func main() {
 		sockDir    = flag.String("sock-dir", "", "internal: directory holding the unix socket files")
 	)
 	flag.Parse()
+	sf := simFlags{
+		model: *model, n: *n, seed: *seed, restore: *restore,
+		workers: *workers, theta: *theta, eps: *eps, dt: *dt,
+		blockSteps: *blockSteps, maxRungs: *maxRungs, etaDT: *etaDT,
+		serialLET: *serialLET,
+	}
 
 	switch *transport {
 	case "chan":
@@ -95,12 +100,7 @@ func main() {
 			telePortBase:  *telePortBase,
 		}
 		if *workerRank >= 0 {
-			runWorker(lc, *workerRank, workerSimConfig{
-				model: *model, n: *n, seed: *seed, restore: *restore,
-				workers: *workers, theta: *theta, eps: *eps, dt: *dt,
-				blockSteps: *blockSteps, maxRungs: *maxRungs, etaDT: *etaDT,
-				serialLET: *serialLET,
-			})
+			runWorker(lc, *workerRank, sf)
 		} else {
 			runLauncher(lc)
 		}
@@ -112,60 +112,16 @@ func main() {
 		log.Fatal("-prom-snapshot requires -transport unix or tcp (the launcher's collector writes it)")
 	}
 
-	var parts []bonsai.Particle
-	var startTime float64
-	var startStep int
-	switch {
-	case *restore != "":
-		var err error
-		startTime, startStep, parts, err = bonsai.LoadSnapshot(*restore)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("restored %d particles at t=%.4f (step %d)\n", len(parts), startTime, startStep)
-	case *model == "milkyway":
-		parts = bonsai.NewMilkyWay(*n, *seed)
-	case *model == "plummer":
-		parts = bonsai.NewPlummer(*n, 1, 1, 1, *seed)
-	default:
-		log.Fatalf("unknown model %q", *model)
-	}
-
-	if *eps == 0 {
-		*eps = bonsai.SofteningForN(len(parts))
-	}
-	if *dt == 0 {
-		if *model == "plummer" && *restore == "" {
-			// Model units (G = M = a = 1): a fraction of the dynamical time.
-			*dt = 0.01
-		} else {
-			// The paper's softening-crossing criterion, capped by the
-			// disk's orbital timescale (binding at reduced N).
-			*dt = bonsai.SuggestedDT(len(parts))
-		}
-	}
-	if *workers == 0 {
-		*workers = max(1, runtime.GOMAXPROCS(0) / *ranks)
-	}
-
-	gconst := bonsai.G // galactic units for milkyway and snapshot runs
-	if *model == "plummer" && *restore == "" {
-		gconst = 1
-	}
 	tracing := *tracePath != "" || *metricsOut != "" || *expvarAddr != ""
-	s, err := bonsai.New(bonsai.Config{
-		Ranks:          *ranks,
-		WorkersPerRank: *workers,
-		Theta:          *theta,
-		Softening:      *eps,
-		DT:             *dt,
-		BlockSteps:     *blockSteps,
-		MaxRungs:       *maxRungs,
-		EtaDT:          *etaDT,
-		GravConst:      gconst,
-		SerialLET:      *serialLET,
-		Tracing:        tracing,
-	}, parts)
+	rs, err := sf.build(*ranks, tracing)
+	if err != nil {
+		log.Fatal(err)
+	}
+	parts, startTime, startStep, cfg := rs.global, rs.startTime, rs.startStep, rs.cfg
+	if *restore != "" {
+		fmt.Printf("restored %d particles at t=%.4f (step %d)\n", len(parts), startTime, startStep)
+	}
+	s, err := bonsai.New(cfg, parts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -189,7 +145,7 @@ func main() {
 	}
 
 	fmt.Printf("N=%d ranks=%d workers/rank=%d theta=%.2f eps=%.4f kpc dt=%.3e (%.2f Myr)\n",
-		len(parts), *ranks, *workers, *theta, *eps, *dt, bonsai.Gyr(*dt)*1e3)
+		len(parts), cfg.Ranks, cfg.WorkersPerRank, cfg.Theta, cfg.Softening, cfg.DT, bonsai.Gyr(cfg.DT)*1e3)
 
 	var exchLETs, exchBoundary int
 	var exchDeclared int64

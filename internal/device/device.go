@@ -258,10 +258,10 @@ type Run struct {
 
 // ExecuteTreeWalk runs the tree-walk force kernel for all groups in
 // warp-lockstep on the modeled device: each group's interaction lists are
-// gathered once into SoA scratch and evaluated WarpSize targets at a time
-// through the same batched kernels the CPU walk uses (idle lanes in partial
-// warps burn cycles without contributing flops, exactly as on hardware), so
-// the emulated forces stay bitwise identical to octree.Tree.Walk. Forces are
+// gathered by octree.Tree.GatherGroup, as in the CPU walk, and evaluated
+// WarpSize targets at a time through the same batched kernels (idle lanes in
+// partial warps burn cycles without contributing flops, exactly as on
+// hardware), so the emulated forces stay bitwise identical to octree.Tree.Walk. Forces are
 // accumulated into acc/pot; the returned Run carries the cycle model.
 func ExecuteTreeWalk(s Spec, k Kernel, t *octree.Tree, groups []octree.Group,
 	tpos []vec.V3, theta, eps2 float64, acc []vec.V3, pot []float64) (Run, error) {
@@ -270,45 +270,31 @@ func ExecuteTreeWalk(s Spec, k Kernel, t *octree.Tree, groups []octree.Group,
 		return Run{}, fmt.Errorf("device %s does not support kernel %s (needs __shfl)", s.Name, k.Name)
 	}
 	run := Run{Device: s.Name, Kernel: k.Name}
-	var lists octree.WalkLists
-	var pp grav.PPSoA
-	var pc grav.PCSoA
-	var tg grav.Targets
-
+	var sc octree.GroupScratch
 	for gi := range groups {
 		g := &groups[gi]
-		t.Collect(g.Box, theta, &lists)
-		pc.Reset()
-		for _, ci := range lists.CellIdx {
-			pc.Append(t.Cells[ci].MP)
-		}
-		pp.Reset()
-		for _, pj := range lists.PartIdx {
-			pp.Append(t.Pos[pj], t.Mass[pj])
-		}
+		t.GatherGroup(g.Box, theta, &sc)
 		gLo, gHi := g.Start, g.Start+g.N
-		tg.Gather(tpos[gLo:gHi])
+		sc.Tg.Gather(tpos[gLo:gHi])
+		tg := &sc.Tg
 
 		// Warp-lockstep evaluation: lanes = particles of the group.
 		warps := (int(g.N) + WarpSize - 1) / WarpSize
 		for w := 0; w < warps; w++ {
 			lo := w * WarpSize
-			hi := lo + WarpSize
-			if hi > int(g.N) {
-				hi = int(g.N)
-			}
+			hi := min(lo+WarpSize, int(g.N))
 			// Every lane walks the same lists in lockstep.
-			grav.PCBatch(tg.X[lo:hi], tg.Y[lo:hi], tg.Z[lo:hi], &pc, eps2,
+			grav.PCBatch(tg.X[lo:hi], tg.Y[lo:hi], tg.Z[lo:hi], &sc.PC, eps2,
 				tg.AX[lo:hi], tg.AY[lo:hi], tg.AZ[lo:hi], tg.Pot[lo:hi])
-			grav.PPBatch(tg.X[lo:hi], tg.Y[lo:hi], tg.Z[lo:hi], &pp, eps2,
+			grav.PPBatch(tg.X[lo:hi], tg.Y[lo:hi], tg.Z[lo:hi], &sc.PP, eps2,
 				tg.AX[lo:hi], tg.AY[lo:hi], tg.AZ[lo:hi], tg.Pot[lo:hi])
 			// The warp burns full-width cycles regardless of idle lanes.
-			run.Cycles += float64(pc.Len()) * s.warpCycles(k, false)
-			run.Cycles += float64(pp.Len()) * s.warpCycles(k, true)
+			run.Cycles += float64(sc.PC.Len()) * s.warpCycles(k, false)
+			run.Cycles += float64(sc.PP.Len()) * s.warpCycles(k, true)
 		}
 		tg.Scatter(acc[gLo:gHi], pot[gLo:gHi])
-		run.Stats.PC += uint64(pc.Len()) * uint64(g.N)
-		run.Stats.PP += uint64(pp.Len()) * uint64(g.N)
+		run.Stats.PC += uint64(sc.PC.Len()) * uint64(g.N)
+		run.Stats.PP += uint64(sc.PP.Len()) * uint64(g.N)
 	}
 	run.finish(s)
 	return run, nil

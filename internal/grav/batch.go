@@ -265,6 +265,11 @@ func pcBatchScalar(tx, ty, tz, cx, cy, cz, cm, qxx, qyy, qzz, qxy, qxz, qyz []fl
 			rinv3 := rinv2 * rinv
 			rinv5 := rinv3 * rinv2
 			rinv7 := rinv5 * rinv2
+			if rinv5 == 0 {
+				axi, ayi, azi, poti = pcFarFMA(dx, dy, dz, eps2, cm[k],
+					qxx[k], qyy[k], qzz[k], qxy[k], qxz[k], qyz[k], axi, ayi, azi, poti)
+				continue
+			}
 
 			trQ := qxx[k] + qyy[k] + qzz[k]
 			qrx := qxx[k]*dx + qxy[k]*dy + qxz[k]*dz
@@ -284,6 +289,40 @@ func pcBatchScalar(tx, ty, tz, cx, cy, cz, cm, qxx, qyy, qzz, qxy, qxz, qyz []fl
 		az[i] += azi
 		apot[i] += poti
 	}
+}
+
+// pcFarFMA adds one p-c interaction whose r⁻⁵ underflowed to the
+// accumulators, in the AVX2 kernel's operation order (one lane of pcAVX2,
+// FMAs included). Beyond r ~ 1e64 every quadrupole term is 0·X, which is NaN
+// exactly when X overflowed, and whether X overflows at that edge depends on
+// how it was rounded; evaluating such interactions like the assembly makes
+// both tiers agree on which results are NaN. pcBatchScalar keeps its own
+// code for every nearer interaction.
+func pcFarFMA(dx, dy, dz, eps2, m, qxx, qyy, qzz, qxy, qxz, qyz,
+	ax, ay, az, pot float64) (float64, float64, float64, float64) {
+	r2 := math.FMA(dz, dz, math.FMA(dy, dy, dx*dx)) + eps2
+	rinv := 0.0
+	if r2 != 0 {
+		rinv = 1 / math.Sqrt(r2)
+	}
+	pot -= m * rinv
+	rinv2 := rinv * rinv
+	rinv3 := rinv2 * rinv
+	rinv5 := rinv3 * rinv2
+	rinv7 := rinv5 * rinv2
+	qrx := math.FMA(qxz, dz, math.FMA(qxy, dy, qxx*dx))
+	qry := math.FMA(qyz, dz, math.FMA(qyy, dy, qxy*dx))
+	qrz := math.FMA(qzz, dz, math.FMA(qyz, dy, qxz*dx))
+	rqr := math.FMA(qrz, dz, math.FMA(qry, dy, qrx*dx))
+	t := (qxx + qyy + qzz) * 0.5
+	r := rqr * 1.5
+	pot = math.FMA(-r, rinv5, math.FMA(t, rinv3, pot))
+	s := math.FMA(5*r, rinv7, math.FMA(-3*t, rinv5, rinv3*m))
+	q5 := rinv5 * -3
+	ax = math.FMA(qrx, q5, math.FMA(dx, s, ax))
+	ay = math.FMA(qry, q5, math.FMA(dy, s, ay))
+	az = math.FMA(qrz, q5, math.FMA(dz, s, az))
+	return ax, ay, az, pot
 }
 
 // Gflops returns the effective sustained rate, in Gflop/s, of evaluating the

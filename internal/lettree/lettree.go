@@ -2,33 +2,33 @@
 // paper's multi-GPU parallelization (§III.B.2):
 //
 //   - Boundary trees: a shallow multipole-only truncation of the local
-//     octree that every rank allgathers. The paper reuses this structure for
-//     two purposes: as the remote-domain geometry description needed to
-//     build LETs, and — for sufficiently distant rank pairs — directly as
-//     the LET itself, avoiding any further communication.
+//     octree that every rank pushes to every other rank (point-to-point, or
+//     one blocking allgather in the SerialLET oracle). The paper reuses this
+//     structure for two purposes: as the remote-domain geometry description
+//     needed to build LETs, and — for sufficiently distant rank pairs —
+//     directly as the LET itself, avoiding any further communication.
 //
 //   - The sufficiency predicate: a receiver-reproducible MAC check deciding
 //     whether a boundary tree alone can serve a target domain. Both the
 //     sender and the receiver evaluate the same predicate on the same
-//     allgathered inputs ("double the compute work", as the paper puts it),
-//     so no request/acknowledge round-trip is ever needed: the exchange is
-//     push-only.
+//     exchanged boundary trees ("double the compute work", as the paper puts
+//     it), so no request/acknowledge round-trip is ever needed: the exchange
+//     is push-only.
 //
 //   - Full LET construction: a walk of the local octree against a remote
 //     domain's bounding geometry that emits exactly the cells and particles
 //     the remote rank could need for any target group inside its domain.
+//     Boundary trees and full LETs come from one pruned-copy recursion that
+//     differs only in which cells it keeps open.
 //
 // A LET is a standalone serializable tree; the receiver computes gravity
-// from it directly ("processed separately as soon as they arrive"), which is
-// what lets communication hide behind the local-tree computation.
+// from it directly ("processed separately as soon as they arrive") with the
+// same group walk as the local tree (octree.WalkGroups), which is what lets
+// communication hide behind the local-tree computation.
 package lettree
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"bonsai/internal/grav"
-	"bonsai/internal/obs"
 	"bonsai/internal/octree"
 	"bonsai/internal/vec"
 )
@@ -76,59 +76,20 @@ func (l *LET) Empty() bool { return l == nil || len(l.Cells) == 0 }
 // ---------------------------------------------------------------------------
 // Construction
 
-// BoundaryTree extracts the top `depth` levels of the local octree. Cells at
-// the cut that still have substructure are marked non-openable and carry
-// only multipoles; true leaves within the retained depth keep their
-// particles, so the boundary tree is exact for any viewer it is sufficient
-// for.
+// BoundaryTree extracts the top `depth` levels of the local octree (depth <=
+// 0 selects DefaultBoundaryDepth). Cells at the cut that still have
+// substructure are marked non-openable and carry only multipoles; true
+// leaves within the retained depth keep their particles, so the boundary
+// tree is exact for any viewer it is sufficient for.
 func BoundaryTree(t *octree.Tree, depth int, localBox vec.Box) *LET {
 	if depth <= 0 {
 		depth = DefaultBoundaryDepth
 	}
-	out := &LET{Box: localBox}
-	if t.Root() == octree.NilCell {
-		return out
+	p := pruner{t: t, out: &LET{Box: localBox}, depth: depth}
+	if t.Root() != octree.NilCell {
+		p.copy(t.Root(), 0)
 	}
-	var rec func(src int32, lvl int) int32
-	rec = func(src int32, lvl int) int32 {
-		sc := &t.Cells[src]
-		idx := int32(len(out.Cells))
-		out.Cells = append(out.Cells, Cell{
-			MP:       sc.MP,
-			Side:     sc.Side,
-			Delta:    sc.Delta,
-			Children: noChildren(),
-			Leaf:     true,
-			Openable: false,
-		})
-		switch {
-		case sc.Leaf:
-			// Real leaf: carry its particles; fully openable.
-			c := &out.Cells[idx]
-			c.Openable = true
-			c.PStart = int32(len(out.Parts))
-			c.PN = sc.N
-			for i := sc.Start; i < sc.Start+sc.N; i++ {
-				out.Parts = append(out.Parts, Part{Pos: t.Pos[i], Mass: t.Mass[i]})
-			}
-		case lvl < depth:
-			// Internal cell within the retained depth: recurse.
-			out.Cells[idx].Leaf = false
-			out.Cells[idx].Openable = true
-			for o, ch := range sc.Children {
-				if ch == octree.NilCell {
-					continue
-				}
-				ci := rec(ch, lvl+1)
-				out.Cells[idx].Children[o] = ci
-			}
-		default:
-			// Truncated: multipole only (Openable stays false).
-		}
-		return idx
-	}
-	rec(t.Root(), 0)
-	return out
+	return p.out
 }
 
 // BuildFor constructs the full LET of the local octree for a remote domain
@@ -145,74 +106,70 @@ func BoundaryTree(t *octree.Tree, depth int, localBox vec.Box) *LET {
 // quarter-size initial capacity avoids the repeated append regrowth that
 // dominated construction for near neighbours.
 func BuildFor(t *octree.Tree, remoteBox vec.Box, theta float64, localBox vec.Box) *LET {
-	out := &LET{Box: localBox}
-	if t.Root() == octree.NilCell {
-		return out
+	p := pruner{t: t, out: &LET{Box: localBox}, remote: remoteBox, theta: theta}
+	if t.Root() != octree.NilCell {
+		p.out.Cells = make([]Cell, 0, len(t.Cells)/4+8)
+		p.copy(t.Root(), 0)
 	}
-	out.Cells = make([]Cell, 0, len(t.Cells)/4+8)
-	var rec func(src int32) int32
-	rec = func(src int32) int32 {
-		sc := &t.Cells[src]
-		idx := int32(len(out.Cells))
-		out.Cells = append(out.Cells, Cell{
-			MP:       sc.MP,
-			Side:     sc.Side,
-			Delta:    sc.Delta,
-			Children: noChildren(),
-			Leaf:     true,
-			Openable: false,
-		})
-		if !octree.MACOpen(remoteBox, sc, theta) {
-			return idx // closed multipole; remote will never open it
-		}
-		if sc.Leaf {
-			c := &out.Cells[idx]
-			c.Openable = true
-			c.PStart = int32(len(out.Parts))
-			c.PN = sc.N
-			for i := sc.Start; i < sc.Start+sc.N; i++ {
-				out.Parts = append(out.Parts, Part{Pos: t.Pos[i], Mass: t.Mass[i]})
-			}
-			return idx
-		}
-		out.Cells[idx].Leaf = false
-		out.Cells[idx].Openable = true
-		for o, ch := range sc.Children {
-			if ch == octree.NilCell {
-				continue
-			}
-			ci := rec(ch)
-			out.Cells[idx].Children[o] = ci
+	return p.out
+}
+
+// pruner is the one pruned-copy recursion behind boundary trees and full
+// LETs. A copied cell is expanded when the keep-open rule holds: for a
+// boundary tree (depth > 0), when it is a leaf or lies above the depth cut;
+// for a full LET, when the MAC opens it from the remote box. Expanded leaves
+// carry their particles; every other cell is a closed multipole.
+type pruner struct {
+	t      *octree.Tree
+	out    *LET
+	depth  int
+	remote vec.Box
+	theta  float64
+}
+
+// copy appends source cell src (at level lvl) and, if it is kept open, its
+// particles or expanded children to p.out, returning its LET index.
+func (p *pruner) copy(src int32, lvl int) int32 {
+	sc := &p.t.Cells[src]
+	idx := int32(len(p.out.Cells))
+	p.out.Cells = append(p.out.Cells, Cell{
+		MP:       sc.MP,
+		Side:     sc.Side,
+		Delta:    sc.Delta,
+		Children: noChildren(),
+		Leaf:     true,
+	})
+	var open bool
+	if p.depth > 0 {
+		open = sc.Leaf || lvl < p.depth
+	} else {
+		open = octree.MACOpen(p.remote, sc.MP.COM, sc.Side, sc.Delta, p.theta)
+	}
+	if !open {
+		return idx // closed multipole; the viewer will never open it
+	}
+	c := &p.out.Cells[idx]
+	c.Openable = true
+	if sc.Leaf {
+		c.PStart = int32(len(p.out.Parts))
+		c.PN = sc.N
+		for i := sc.Start; i < sc.Start+sc.N; i++ {
+			p.out.Parts = append(p.out.Parts, Part{Pos: p.t.Pos[i], Mass: p.t.Mass[i]})
 		}
 		return idx
 	}
-	rec(t.Root())
-	return out
+	c.Leaf = false
+	for o, ch := range sc.Children {
+		if ch != octree.NilCell {
+			ci := p.copy(ch, lvl+1)
+			p.out.Cells[idx].Children[o] = ci
+		}
+	}
+	return idx
 }
 
 func noChildren() [8]int32 {
 	return [8]int32{NilCell, NilCell, NilCell, NilCell, NilCell, NilCell, NilCell, NilCell}
-}
-
-// VisitCells calls fn for every cell reachable from the root, with the cell's
-// index, its level, and its dense octant path (path = parent path*8 + octant;
-// the root is level 0, path 0). Parents are visited before children, octants
-// ascending. The coarse global octree uses the path to place a boundary
-// tree's cells on the shared octant lattice.
-func (l *LET) VisitCells(fn func(idx int32, level int, path uint64)) {
-	if l.Empty() {
-		return
-	}
-	var rec func(idx int32, level int, path uint64)
-	rec = func(idx int32, level int, path uint64) {
-		fn(idx, level, path)
-		for o, ch := range l.Cells[idx].Children {
-			if ch != NilCell {
-				rec(ch, level+1, path*8+uint64(o))
-			}
-		}
-	}
-	rec(0, 0, 0)
 }
 
 // ---------------------------------------------------------------------------
@@ -239,7 +196,7 @@ func Sufficient(l *LET, targetBox vec.Box, theta float64) bool {
 		if c.MP.M == 0 {
 			return true
 		}
-		if !macOpen(targetBox, c, theta) {
+		if !octree.MACOpen(targetBox, c.MP.COM, c.Side, c.Delta, theta) {
 			return true
 		}
 		if !c.Openable {
@@ -258,132 +215,55 @@ func Sufficient(l *LET, targetBox vec.Box, theta float64) bool {
 	return rec(0)
 }
 
-func macOpen(groupBox vec.Box, c *Cell, theta float64) bool {
-	open := c.Side/theta + c.Delta
-	return groupBox.Dist2(c.MP.COM) < open*open
-}
-
 // ---------------------------------------------------------------------------
 // Gravity from a LET
 
-// walkScratch reuses traversal and SoA gather buffers across groups.
-type walkScratch struct {
-	stack []int32
-	pp    grav.PPSoA
-	pc    grav.PCSoA
-	tg    grav.Targets
-}
-
-var scratchPool = sync.Pool{New: func() any { return &walkScratch{} }}
-
 // Walk accumulates the gravitational forces exerted by the LET's mass on the
-// target particles (grouped as in the local walk). ForcedAccepts counts
-// pruned cells that a group needed to open but could not — always zero when
-// the LET was built or vetted for these targets; non-zero values indicate a
-// protocol violation and are surfaced through the returned count.
+// target particles (grouped as in the local walk) through octree.WalkGroups.
+// The returned count of forced accepts — pruned cells that a group needed to
+// open but could not — is always zero when the LET was built or vetted for
+// these targets; a non-zero value is a protocol violation.
 func Walk(l *LET, groups []octree.Group, tpos []vec.V3, theta, eps2 float64,
 	acc []vec.V3, pot []float64, workers int, st *grav.Stats) (forcedAccepts int64) {
-	return WalkObs(l, groups, tpos, theta, eps2, acc, pot, workers, st, nil)
+	return octree.WalkGroups(l, groups, tpos, theta, eps2, acc, pot, workers, st, nil)
 }
 
-// WalkObs is Walk with an optional observability hook: when listLen is
-// non-nil, the interaction-list length of every target group is recorded into
-// it. A nil listLen costs one branch per group.
-func WalkObs(l *LET, groups []octree.Group, tpos []vec.V3, theta, eps2 float64,
-	acc []vec.V3, pot []float64, workers int, st *grav.Stats, listLen *obs.Hist) (forcedAccepts int64) {
-
-	if l.Empty() || len(groups) == 0 {
-		return 0
-	}
-	if workers <= 1 {
-		var local grav.Stats
-		var forced int64
-		sc := scratchPool.Get().(*walkScratch)
-		for g := range groups {
-			forced += walkGroup(l, &groups[g], tpos, theta, eps2, acc, pot, sc, &local, listLen)
-		}
-		scratchPool.Put(sc)
-		if st != nil {
-			st.Add(local)
-		}
-		return forced
-	}
-
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	var forcedTotal atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var local grav.Stats
-			var forced int64
-			sc := scratchPool.Get().(*walkScratch)
-			for {
-				g := int(next.Add(1)) - 1
-				if g >= len(groups) {
-					break
-				}
-				forced += walkGroup(l, &groups[g], tpos, theta, eps2, acc, pot, sc, &local, listLen)
-			}
-			scratchPool.Put(sc)
-			if st != nil {
-				st.AddAtomic(local)
-			}
-			forcedTotal.Add(forced)
-		}()
-	}
-	wg.Wait()
-	return forcedTotal.Load()
-}
-
-func walkGroup(l *LET, g *octree.Group, tpos []vec.V3, theta, eps2 float64,
-	acc []vec.V3, pot []float64, sc *walkScratch, st *grav.Stats, listLen *obs.Hist) (forced int64) {
-
-	sc.stack = append(sc.stack[:0], 0)
-	sc.pc.Reset()
-	sc.pp.Reset()
-
-	// Traverse once per group, gathering accepted multipoles and opened-leaf
-	// particles directly into the SoA scratch the batched kernels stream.
-	for len(sc.stack) > 0 {
-		idx := sc.stack[len(sc.stack)-1]
-		sc.stack = sc.stack[:len(sc.stack)-1]
+// GatherGroup is the LET's octree.Source traversal: it gathers accepted
+// multipoles and opened-leaf particles straight into the SoA lists as it
+// goes. A pruned cell the MAC asks to open is accepted as a multipole
+// (degrading gracefully) and counted as forced.
+func (l *LET) GatherGroup(groupBox vec.Box, theta float64, sc *octree.GroupScratch) (forced int64) {
+	sc.PC.Reset()
+	sc.PP.Reset()
+	sc.Stack = append(sc.Stack[:0], 0)
+	for len(sc.Stack) > 0 {
+		idx := sc.Stack[len(sc.Stack)-1]
+		sc.Stack = sc.Stack[:len(sc.Stack)-1]
 		c := &l.Cells[idx]
 		if c.MP.M == 0 {
 			continue
 		}
-		if !macOpen(g.Box, c, theta) {
-			sc.pc.Append(c.MP)
+		if !octree.MACOpen(groupBox, c.MP.COM, c.Side, c.Delta, theta) {
+			sc.PC.Append(c.MP)
 			continue
 		}
 		if !c.Openable {
-			sc.pc.Append(c.MP) // degrade gracefully; flagged
+			sc.PC.Append(c.MP)
 			forced++
 			continue
 		}
 		if c.Leaf {
 			for i := c.PStart; i < c.PStart+c.PN; i++ {
-				sc.pp.Append(l.Parts[i].Pos, l.Parts[i].Mass)
+				sc.PP.Append(l.Parts[i].Pos, l.Parts[i].Mass)
 			}
 			continue
 		}
 		for _, ch := range c.Children {
 			if ch != NilCell {
-				sc.stack = append(sc.stack, ch)
+				sc.Stack = append(sc.Stack, ch)
 			}
 		}
 	}
-
-	lo, hi := g.Start, g.Start+g.N
-	sc.tg.Gather(tpos[lo:hi])
-	listLen.Observe(int64(sc.pc.Len() + sc.pp.Len()))
-	grav.PCBatch(sc.tg.X, sc.tg.Y, sc.tg.Z, &sc.pc, eps2, sc.tg.AX, sc.tg.AY, sc.tg.AZ, sc.tg.Pot)
-	grav.PPBatch(sc.tg.X, sc.tg.Y, sc.tg.Z, &sc.pp, eps2, sc.tg.AX, sc.tg.AY, sc.tg.AZ, sc.tg.Pot)
-	sc.tg.Scatter(acc[lo:hi], pot[lo:hi])
-
-	st.PC += uint64(sc.pc.Len()) * uint64(g.N)
-	st.PP += uint64(sc.pp.Len()) * uint64(g.N)
 	return forced
 }
 

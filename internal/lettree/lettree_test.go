@@ -143,12 +143,11 @@ func TestLETForcesMatchFullTreeWalk(t *testing.T) {
 	wantPot := make([]float64, len(tposA))
 	trB.Walk(groups, tposA, theta, eps2, wantAcc, wantPot, 4, nil)
 
+	// Same interaction lists in the same order through the same group walk:
+	// the forces must agree bitwise.
 	for i := range gotAcc {
-		if gotAcc[i].Sub(wantAcc[i]).Norm() > 1e-12*(1+wantAcc[i].Norm()) {
-			t.Fatalf("acc[%d]: %v != %v", i, gotAcc[i], wantAcc[i])
-		}
-		if math.Abs(gotPot[i]-wantPot[i]) > 1e-12*(1+math.Abs(wantPot[i])) {
-			t.Fatalf("pot[%d]: %v != %v", i, gotPot[i], wantPot[i])
+		if gotAcc[i] != wantAcc[i] || gotPot[i] != wantPot[i] {
+			t.Fatalf("target %d: LET (%v, %v) != tree (%v, %v)", i, gotAcc[i], gotPot[i], wantAcc[i], wantPot[i])
 		}
 	}
 }

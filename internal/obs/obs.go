@@ -190,12 +190,21 @@ func (r *Recorder) AddStep(m StepMetrics) {
 // evaluation: the per-rank records folded by MergeStepMetrics. For a
 // recorder only one rank writes to, that fold is the identity.
 func (r *Recorder) Steps() []StepMetrics {
+	steps, _ := r.StepsSince(0)
+	return steps
+}
+
+// StepsSince is Steps over only the per-rank records appended after the
+// first from; it also returns the record count to pass as the next from.
+// Folding just the new records keeps a caller that polls after every
+// evaluation linear in the run length.
+func (r *Recorder) StepsSince(from int) ([]StepMetrics, int) {
 	if r == nil {
-		return nil
+		return nil, 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return MergeStepMetrics(r.steps)
+	return MergeStepMetrics(r.steps[from:]), len(r.steps)
 }
 
 // RankRec is one rank's preallocated span buffer. Concurrent goroutines of

@@ -90,8 +90,8 @@ func rankLabel(rank int) []label {
 }
 
 // writeStepProm writes the per-rank gauges derived from one step record: the
-// latest step number, step time, per-phase seconds, throughput, overlap, and
-// the kernel-ISA info metric.
+// latest step number, step time, per-phase seconds (the Table II rows, which
+// sum to the step time), throughput, overlap, and the kernel-ISA info metric.
 func writeStepProm(p *promWriter, m obs.StepMetrics, rank int, isa string) {
 	rl := rankLabel(rank)
 	p.gauge("bonsai_step", "latest completed force evaluation", rl, float64(m.Step))
@@ -101,7 +101,8 @@ func writeStepProm(p *promWriter, m obs.StepMetrics, rank int, isa string) {
 		ms   float64
 	}{
 		{"sort_build", m.SortBuildMS}, {"domain", m.DomainMS}, {"tree_props", m.TreePropsMS},
-		{"grav_local", m.GravLocalMS}, {"grav_let", m.GravLETMS}, {"other", m.OtherMS},
+		{"grav_local", m.GravLocalMS}, {"grav_let", m.GravLETMS},
+		{"non_hidden_comm", m.NonHiddenCommMS}, {"other", m.OtherMS},
 	}
 	for _, ph := range phases {
 		p.gauge("bonsai_phase_seconds", "per-phase time of the latest force evaluation",

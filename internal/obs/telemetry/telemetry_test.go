@@ -262,6 +262,38 @@ func TestServerPprofAndExpvarServe(t *testing.T) {
 	}
 }
 
+// TestPromPhasesSumToStep: the bonsai_phase_seconds rows of one per-rank
+// record are the Table II rows, so they sum to bonsai_step_seconds.
+func TestPromPhasesSumToStep(t *testing.T) {
+	m := obs.StepMetrics{
+		Step: 3, Rank: 1, Ranks: 2, MaxStepMS: 28,
+		SortBuildMS: 1, DomainMS: 2, TreePropsMS: 3, GravLocalMS: 4,
+		GravLETMS: 5, NonHiddenCommMS: 6, OtherMS: 7,
+	}
+	var buf bytes.Buffer
+	p := newPromWriter(&buf)
+	writeStepProm(p, m, m.Rank, "")
+	if err := p.flush(); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := ParseProm(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	rows := 0
+	for k, v := range samples {
+		if strings.HasPrefix(k, "bonsai_phase_seconds{") {
+			sum += v
+			rows++
+		}
+	}
+	step := samples[`bonsai_step_seconds{rank="1"}`]
+	if rows != 7 || math.Abs(sum-step) > 1e-12 {
+		t.Errorf("%d phase rows sum to %gs, step is %gs", rows, sum, step)
+	}
+}
+
 func TestParsePromRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
 		"bonsai_up\n",                    // no value

@@ -26,7 +26,7 @@ func benchWalkObs(b *testing.B, listLen *obs.Hist) {
 			acc[j] = vec.V3{}
 			pot[j] = 0
 		}
-		tr.WalkObs(groups, tr.Pos, 0.4, 1e-4, acc, pot, 0, &st, listLen)
+		WalkGroups(tr, groups, tr.Pos, 0.4, 1e-4, acc, pot, 0, &st, listLen)
 	}
 	b.ReportMetric(st.Flops()/float64(b.N)/1e9, "Gflop/op")
 }

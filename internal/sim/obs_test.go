@@ -131,8 +131,8 @@ func TestTracingIntegration(t *testing.T) {
 	if m.QueueDepthHist().Count() == 0 {
 		t.Error("mailbox queue-depth histogram is empty")
 	}
-	if m.ImbalanceHist().Count() == 0 {
-		t.Error("imbalance histogram is empty")
+	if got, want := m.ImbalanceHist().Count(), int64(len(rec.Steps())); got == 0 || got != want {
+		t.Errorf("imbalance histogram holds %d samples, want one per merged evaluation (%d)", got, want)
 	}
 	for _, a := range rec.Steps() {
 		totalArrivals += a.ArrivalsSeen

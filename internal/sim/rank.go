@@ -382,7 +382,7 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 
 	walkRemote := func(l *lettree.LET, src int, ph obs.Phase, from string) {
 		tW := time.Now()
-		forced := lettree.WalkObs(l, t.groups, t.pos, theta, eps2,
+		forced := octree.WalkGroups(l, t.groups, t.pos, theta, eps2,
 			t.acc, t.pot, r.cfg.WorkersPerRank, &r.stats.Grav, r.met.ListLenHist())
 		d := time.Since(tW)
 		letWalk += d
@@ -456,7 +456,7 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 		// and therefore the accelerations — bitwise reproducible. Sends are
 		// eager, so the known-source receives cannot deadlock.
 		tL := time.Now()
-		r.tree.WalkObs(t.groups, t.pos, theta, eps2, t.acc, t.pot,
+		octree.WalkGroups(r.tree, t.groups, t.pos, theta, eps2, t.acc, t.pot,
 			r.cfg.WorkersPerRank, &r.stats.Grav, r.met.ListLenHist())
 		localWalk = time.Since(tL)
 		r.obs.Span(r.eval, obs.PhaseWalkLocal, obs.LaneCompute, 0, tL, tL.Add(localWalk), int64(len(t.groups)))
@@ -564,7 +564,7 @@ func (r *rank) gravity(tagPar int, t *walkTargets) {
 				n = len(pending)
 			}
 			tL := time.Now()
-			r.tree.WalkObs(pending[:n], t.pos, theta, eps2, t.acc, t.pot,
+			octree.WalkGroups(r.tree, pending[:n], t.pos, theta, eps2, t.acc, t.pot,
 				r.cfg.WorkersPerRank, &r.stats.Grav, r.met.ListLenHist())
 			d := time.Since(tL)
 			localWalk += d

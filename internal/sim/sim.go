@@ -221,7 +221,7 @@ func (c Config) Validate() error {
 type Simulation struct {
 	world *mpi.World
 	nodes []*Node
-	// observed counts the merged metrics records whose rank imbalance has
+	// observed counts the per-rank metrics records whose evaluations have
 	// been fed to the imbalance histogram.
 	observed int
 }
@@ -266,11 +266,11 @@ func (s *Simulation) each(fn func(i int, n *Node)) {
 	}
 	wg.Wait()
 	if rec := s.Obs(); rec != nil {
-		steps := rec.Steps()
-		for _, m := range steps[s.observed:] {
+		var steps []obs.StepMetrics
+		steps, s.observed = rec.StepsSince(s.observed)
+		for _, m := range steps {
 			rec.Metrics().ImbalanceHist().Observe(int64((m.MaxStepMS - m.MeanStepMS) * 1e6))
 		}
-		s.observed = len(steps)
 	}
 }
 
